@@ -8,7 +8,7 @@
 /// Shared setup for the figure-reproduction benches: a tuned training
 /// configuration (the paper's 64x64 FCNN and discrete action space, with
 /// learning-rate/batch scaled to this reproduction's much smaller compute
-/// budget — see EXPERIMENTS.md) and a standard synthetic training set.
+/// budget) and a standard synthetic training set.
 ///
 //===----------------------------------------------------------------------===//
 

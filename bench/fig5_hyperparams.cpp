@@ -12,7 +12,7 @@
 //     rewarding state (> 0) within ~5k samples at the smallest batch.
 // Note the compute scaling: the paper trains to 500k steps on a cluster;
 // this harness runs a few thousand steps per configuration, so the sweep
-// shows the same orderings at compressed scale (see EXPERIMENTS.md).
+// shows the same orderings at compressed scale.
 //
 //===----------------------------------------------------------------------===//
 

@@ -321,58 +321,24 @@ int main() {
   Json.add("batched_forward_pooled_loops_per_sec", LoopsPooled);
   Json.add("batched_forward_speedup", LoopsNew / LoopsOld);
 
-  // --- Quantized serving forward (int8 shadows, inference path) ----------
+  // --- Serving forward (inference path) ---------------------------------
   // The serving hot path proper: borrowed-span encode + no-cache policy
-  // forward, fp32 vs int8 (docs/quantization.md). The guard is a numeric
-  // tolerance on the code vectors, not greedy-action equality — with
-  // random bench weights the argmax margins are arbitrarily thin, while a
-  // trained policy's margins dwarf the quantization error (that claim is
-  // pinned by the plan-equality tests in ServeTest).
+  // forward.
   {
     std::vector<ContextSpan> Spans;
     Spans.reserve(Bags.size());
     for (const std::vector<PathContext> &Bag : Bags)
       Spans.push_back({Bag.data(), Bag.size()});
 
-    Matrix Fp32States;
+    Matrix ServeStates;
     const double ServeOps = opsPerSec([&] {
-      Embedder.encodeSpansInto(Spans, Fp32States);
-      Pol.forward(Fp32States, nullptr, /*ForBackward=*/false);
+      Embedder.encodeSpansInto(Spans, ServeStates);
+      Pol.forward(ServeStates, nullptr, /*ForBackward=*/false);
     });
-
-    Embedder.quantizeForInference();
-    Pol.quantizeForInference();
-    Matrix QuantStates;
-    Embedder.encodeSpansInto(Spans, QuantStates);
-    double MaxAbs = 0.0, MaxErr = 0.0;
-    for (int Row = 0; Row < Fp32States.rows(); ++Row)
-      for (int Col = 0; Col < Fp32States.cols(); ++Col) {
-        MaxAbs = std::max(MaxAbs, std::fabs(Fp32States.at(Row, Col)));
-        MaxErr = std::max(MaxErr, std::fabs(Fp32States.at(Row, Col) -
-                                            QuantStates.at(Row, Col)));
-      }
-    if (MaxErr > 0.05 * (1.0 + MaxAbs)) {
-      std::cerr << "MISMATCH: quantized encode drifted " << MaxErr
-                << " from fp32 (max |fp32| " << MaxAbs << ")\n";
-      return 1;
-    }
-
-    const double QuantOps = opsPerSec([&] {
-      Embedder.encodeSpansInto(Spans, QuantStates);
-      Pol.forward(QuantStates, nullptr, /*ForBackward=*/false);
-    });
-    Embedder.clearQuantized();
-    Pol.clearQuantized();
-
     const double LoopsServe = ServeOps * BatchLoops;
-    const double LoopsQuant = QuantOps * BatchLoops;
-    std::cout << "serve fp32 forward:   " << static_cast<long long>(LoopsServe)
+    std::cout << "serve forward:        " << static_cast<long long>(LoopsServe)
               << " loops/s\n";
-    std::cout << "serve int8 forward:   " << static_cast<long long>(LoopsQuant)
-              << " loops/s   (" << LoopsQuant / LoopsServe << "x)\n";
     Json.add("batched_forward_serve_loops_per_sec", LoopsServe);
-    Json.add("batched_forward_quantized_loops_per_sec", LoopsQuant);
-    Json.add("batched_forward_quantized_speedup", LoopsQuant / LoopsServe);
   }
 
   // Encode backward (training-side component).

@@ -53,8 +53,6 @@ int usage(const char *Argv0) {
       << "  --train-demo PATH train a small demo model, save it to PATH,\n"
       << "                    and serve it (standalone quick start)\n"
       << "  --threads N       annotation pool size (default 4)\n"
-      << "  --quantized       serve int8-quantized generations (inference\n"
-      << "                    only; see docs/quantization.md)\n"
       << "  --executors N     request executor threads (default 2)\n"
       << "  --queue-watermark N  shed when executor queue >= N (default 64)\n"
       << "  --max-inflight-mb N  shed when admitted bytes > N MiB "
@@ -75,7 +73,6 @@ int main(int Argc, char **Argv) {
   std::string ModelPath;
   std::string TrainDemoPath;
   int Threads = 4;
-  bool Quantized = false;
   NetServerConfig Net;
 
   for (int I = 1; I < Argc; ++I) {
@@ -97,8 +94,6 @@ int main(int Argc, char **Argv) {
       TrainDemoPath = Next("--train-demo");
     else if (Arg == "--threads")
       Threads = std::atoi(Next("--threads"));
-    else if (Arg == "--quantized")
-      Quantized = true;
     else if (Arg == "--executors")
       Net.Executors = std::atoi(Next("--executors"));
     else if (Arg == "--queue-watermark")
@@ -144,9 +139,7 @@ int main(int Argc, char **Argv) {
     ModelPath = TrainDemoPath;
   }
 
-  ServingModelConfig HostConfig = NeuroVectorizer(Config).servingModelConfig();
-  HostConfig.Quantized = Quantized;
-  ModelHost Models(HostConfig);
+  ModelHost Models(NeuroVectorizer(Config).servingModelConfig());
   if (!ModelPath.empty()) {
     std::string Error;
     const LoadStatus Status = Models.reload(ModelPath, &Error);
@@ -177,8 +170,7 @@ int main(int Argc, char **Argv) {
   // The smoke job and tests parse this line for the bound port.
   std::cout << "nv_serverd listening on " << Host << ":" << Server.port()
             << " generation=" << Models.generation()
-            << " isa=" << kernelIsaName(kernelIsa())
-            << (Quantized ? " quantized" : "") << std::endl;
+            << " isa=" << kernelIsaName(kernelIsa()) << std::endl;
 
   Server.wait();
   ActiveServer = nullptr;

@@ -59,9 +59,6 @@ bool NeuroVectorizer::addTrainingProgram(const std::string &Name,
 
 TrainStats NeuroVectorizer::train(long long Steps) {
   assert(Env->size() > 0 && "no training programs added");
-  // Training must run fp32 end to end: rollout sampling is an inference
-  // forward, and it has to see the same weights the optimizer updates.
-  dropServeQuantization();
   TrainStats Stats = Runner->train(Steps);
   // Same invalidation as trainParallel()/load(): cached plans and fitted
   // supervised backends were derived from the pre-training weights.
@@ -69,7 +66,6 @@ TrainStats NeuroVectorizer::train(long long Steps) {
     Service->clearCache();
   NNS->index().clear();
   Tree->tree().clear();
-  applyServeQuantization(); // Rebuild the int8 shadows over new weights.
   return Stats;
 }
 
@@ -85,7 +81,6 @@ RolloutModelSpec NeuroVectorizer::rolloutSpec() const {
 }
 
 TrainReport NeuroVectorizer::trainParallel(const TrainerConfig &TrainConfig) {
-  dropServeQuantization(); // Training must run fp32 end to end.
   Trainer T(*Runner, rolloutSpec(), TrainConfig);
   // Held-out by construction: the Fig 7 evaluation benchmarks are never in
   // the training distribution (curriculum stages draw from the generator
@@ -98,7 +93,6 @@ TrainReport NeuroVectorizer::trainParallel(const TrainerConfig &TrainConfig) {
     Service->clearCache();
   NNS->index().clear();
   Tree->tree().clear();
-  applyServeQuantization(); // Rebuild the int8 shadows over new weights.
   return Report;
 }
 
@@ -279,8 +273,6 @@ bool NeuroVectorizer::load(const std::string &Path, std::string *Error) {
     Service->setContextExtraction(Meta.InnerContextOnly);
     Service->clearCache();
   }
-  // Stale int8 shadows would keep serving the pre-load weights.
-  applyServeQuantization();
   return true;
 }
 
@@ -292,24 +284,7 @@ AnnotationService &NeuroVectorizer::service(const ServeConfig &Serve) {
   Cfg.LegalityFeatures = Config.LegalityFeatures;
   Service = std::make_unique<AnnotationService>(
       *Embedder, Backends, Config.Embedding.Paths, Config.Target, Cfg);
-  ServeQuantized = Cfg.Quantized;
-  if (ServeQuantized)
-    applyServeQuantization();
-  else
-    dropServeQuantization();
   return *Service;
-}
-
-void NeuroVectorizer::applyServeQuantization() {
-  if (!ServeQuantized)
-    return;
-  Embedder->quantizeForInference();
-  Pol->quantizeForInference();
-}
-
-void NeuroVectorizer::dropServeQuantization() {
-  Embedder->clearQuantized();
-  Pol->clearQuantized();
 }
 
 AnnotationService &NeuroVectorizer::service() {

@@ -176,14 +176,6 @@ private:
   NNSBackend *NNS = nullptr;   ///< Owned by Backends.
   TreeBackend *Tree = nullptr; ///< Owned by Backends.
   std::unique_ptr<AnnotationService> Service;
-  /// service() was configured with ServeConfig::Quantized: int8 shadows
-  /// exist on the (shared) embedder/policy, are dropped for the duration
-  /// of any training, and are rebuilt whenever the weights change
-  /// (train/trainParallel exit, load).
-  bool ServeQuantized = false;
-
-  void applyServeQuantization();
-  void dropServeQuantization();
 };
 
 } // namespace nv

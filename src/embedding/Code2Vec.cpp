@@ -56,15 +56,8 @@ void Code2Vec::encodeSample(SampleCache &SC, ContextSpan Contexts,
       Row[Config.TokenDim + Config.PathDim + D] = Dst[D];
   }
 
-  // Combined context vectors: fused affine + tanh. The int8 shadow only
-  // serves the forward-only span encode — encodeBatchInto marks a backward
-  // pass possible (BackwardReady) before encoding, and gradients must see
-  // the fp32 weights.
-  if (QuantW.ready() && !BackwardReady)
-    gemmQuantInto(SC.C, SC.X, QuantW, &B.Value, Activation::Tanh,
-                  SC.QScratch, Pool);
-  else
-    gemmInto(SC.C, SC.X, W.Value, &B.Value, Activation::Tanh, Pool);
+  // Combined context vectors: fused affine + tanh.
+  gemmInto(SC.C, SC.X, W.Value, &B.Value, Activation::Tanh, Pool);
 
   // Attention scores, softmaxed in place.
   SC.Alpha.resize(N);

@@ -85,14 +85,6 @@ public:
 
   std::vector<Param *> params();
 
-  /// Builds (or refreshes) the int8 shadow of the combination matrix W.
-  /// Only the serving encode (encodeSpansInto) uses it — encodeBatchInto
-  /// retains state for backward() and therefore always runs fp32. Must be
-  /// re-run after weight updates; see docs/quantization.md.
-  void quantizeForInference() { quantizeLinearWeights(W.Value, QuantW); }
-  void clearQuantized() { QuantW.clear(); }
-  bool isQuantized() const { return QuantW.ready(); }
-
 private:
   Code2VecConfig Config;
 
@@ -109,10 +101,8 @@ private:
     Matrix X;     ///< (n x inDim) concatenated embeddings.
     Matrix C;     ///< (n x CodeDim) tanh context vectors.
     std::vector<double> Alpha; ///< Attention weights (n).
-    QuantScratch QScratch;     ///< Int8 activation scratch (serving).
   };
   std::vector<SampleCache> Cache;
-  QuantizedLinear QuantW; ///< Int8 shadow of W (empty = fp32 only).
   bool BackwardReady = false; ///< Set by encodeBatchInto only.
   Matrix BackdC; ///< Backward scratch (n x CodeDim).
   Matrix BackdX; ///< Backward scratch (n x inDim).

@@ -5,10 +5,23 @@
 #include "lang/Lexer.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
 using namespace nv;
+
+/// One nesting level for the lifetime of a production.
+class Parser::NestingLevel {
+public:
+  explicit NestingLevel(Parser &P) : P(P) {
+    P.Peak = std::max(P.Peak, ++P.Depth);
+  }
+  ~NestingLevel() { --P.Depth; }
+
+private:
+  Parser &P;
+};
 
 Parser::Parser(std::vector<Token> Tokens) : Tokens(std::move(Tokens)) {
   assert(!this->Tokens.empty() && this->Tokens.back().is(TokenKind::End) &&
@@ -47,6 +60,14 @@ void Parser::fail(const std::string &Message) {
   if (ErrorMessage.empty())
     ErrorMessage = Message;
   Failed = true;
+}
+
+bool Parser::tooDeep() {
+  if (Peak <= MaxNestingDepth)
+    return false;
+  fail("nesting too deep (more than " + std::to_string(MaxNestingDepth) +
+       " levels) at line " + std::to_string(peek().Line));
+  return true;
 }
 
 std::optional<ScalarType> Parser::parseTypeSpecifier() {
@@ -229,6 +250,9 @@ std::optional<VectorPragma> Parser::parsePragmaText(const std::string &Text) {
 }
 
 StmtPtr Parser::parseStmt() {
+  NestingLevel Level(*this);
+  if (tooDeep())
+    return nullptr;
   if (check(TokenKind::Pragma)) {
     PendingPragma = parsePragmaText(advance().Text);
     return nullptr; // Attached to the next for-statement.
@@ -386,12 +410,7 @@ StmtPtr Parser::parseIf() {
   }
   StmtPtr Else;
   if (accept(TokenKind::KwElse)) {
-    if (check(TokenKind::KwIf)) {
-      std::vector<StmtPtr> Stmts;
-      if (StmtPtr S = parseIf())
-        Stmts.push_back(std::move(S));
-      Else = std::make_unique<BlockStmt>(std::move(Stmts));
-    } else if (check(TokenKind::LBrace)) {
+    if (check(TokenKind::LBrace)) {
       Else = parseBlock();
     } else {
       std::vector<StmtPtr> Stmts;
@@ -450,6 +469,9 @@ ExprPtr Parser::parseTernary() {
   ExprPtr Cond = parseBinary(0);
   if (failed() || !accept(TokenKind::Question))
     return Cond;
+  NestingLevel Level(*this);
+  if (tooDeep())
+    return nullptr;
   ExprPtr Then = parseTernary();
   expect(TokenKind::Colon, "in conditional expression");
   ExprPtr Else = parseTernary();
@@ -529,23 +551,35 @@ static bool binaryOpInfo(TokenKind Kind, OpInfo &Info) {
 }
 
 ExprPtr Parser::parseBinary(int MinPrecedence) {
+  const int OuterPeak = Peak;
+  Peak = Depth;
   ExprPtr LHS = parseUnary();
   for (;;) {
     if (failed())
       return nullptr;
     OpInfo Info;
     if (!binaryOpInfo(peek().Kind, Info) || Info.Precedence < MinPrecedence)
-      return LHS;
+      break;
     advance();
+    // This loop builds the chain without recursion, but the tree it
+    // builds is as deep as the chain is long.
+    ++Peak;
+    if (tooDeep())
+      return nullptr;
     ExprPtr RHS = parseBinary(Info.Precedence + 1);
     if (failed())
       return nullptr;
     LHS = std::make_unique<BinaryExpr>(Info.Op, std::move(LHS),
                                        std::move(RHS));
   }
+  Peak = std::max(OuterPeak, Peak);
+  return LHS;
 }
 
 ExprPtr Parser::parseUnary() {
+  NestingLevel Level(*this);
+  if (tooDeep())
+    return nullptr;
   if (accept(TokenKind::Minus))
     return std::make_unique<UnaryExpr>(UnaryOp::Neg, parseUnary());
   if (accept(TokenKind::Not))

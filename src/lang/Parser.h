@@ -47,6 +47,18 @@ private:
   void fail(const std::string &Message);
   bool failed() const { return Failed; }
 
+  /// Nesting bound: every statement, unary operand (so every parenthesis,
+  /// subscript, call argument and cast), conditional branch and operator
+  /// of a left-associative chain is one level, so the bound caps the
+  /// height of the AST. The passes after parsing (extraction, lowering,
+  /// printing, destruction) recurse over that tree, and the daemon parses
+  /// client text: without the bound one deeply nested program overflows
+  /// a thread's stack. Deeper input is a "nesting too deep" error.
+  static constexpr int MaxNestingDepth = 256;
+  class NestingLevel;
+  /// Fails (and returns true) once Peak exceeds MaxNestingDepth.
+  bool tooDeep();
+
   // Grammar productions.
   bool parseTopLevel(Program &P);
   std::optional<ScalarType> parseTypeSpecifier();
@@ -73,6 +85,12 @@ private:
   size_t Pos = 0;
   std::string ErrorMessage;
   bool Failed = false;
+  /// Nesting level of the production being parsed.
+  int Depth = 0;
+  /// Deepest level any node parsed so far sits at. parseBinary tracks
+  /// each chain on its own: an operator becomes the parent of the chain
+  /// so far and pushes every node in it one level down.
+  int Peak = 0;
   /// A pragma seen but not yet attached to a following for-statement.
   std::optional<VectorPragma> PendingPragma;
 };

@@ -447,7 +447,6 @@ std::string NetServer::buildStatszJson() {
       .field("dedup_hits", S.DedupHits)
       .field("cache_misses", S.CacheMisses)
       .field("forward_passes", S.ForwardPasses)
-      .field("quantized_batches", S.QuantizedBatches)
       .field("kernel_isa", kernelIsaName(kernelIsa()))
       .field("hit_rate", S.hitRate())
       .field("throughput", S.throughput())

@@ -120,10 +120,10 @@ void nv::applyActivation(Matrix &Y, Activation Act) {
 }
 
 /// Bias + activation over one raw output row. One implementation for all
-/// tiers (fp64 and int8 dispatchers): the tanh sweep always spans the
-/// whole row (never an NB block), so its input and extent are independent
-/// of blocking, partition, and ISA — the epilogue cannot introduce
-/// cross-tier divergence.
+/// tiers: the tanh sweep always spans the whole row (never an NB block),
+/// so its input and extent are independent of blocking, partition, and
+/// ISA — within one build the epilogue cannot introduce cross-tier
+/// divergence (vecTanh's own bits depend on the build; see nn/VecMath.h).
 void nv::detail::epilogueRow(double *CRow, const double *Bias, int N,
                              Activation Act) {
   if (Bias)

@@ -32,7 +32,12 @@
 ///    ISA tier* but NOT bit-identical across tiers (it matches within
 ///    rounding; the backward pass never mixes tiers within a run).
 ///  - The fused activation epilogue is shared code across every tier
-///    (vecTanh spans whole output rows), so it never splits the contract.
+///    (vecTanh spans whole output rows), so it does not split the contract
+///    *within one build*. Across builds it does: vecTanh is libmvec when
+///    built with NV_NATIVE_KERNELS=ON (for the build host's ISA) and scalar
+///    libm otherwise, and the two disagree in the last bits (nn/VecMath.h).
+///    So gemmInto(..., Tanh) output depends on the build host and on
+///    NV_NATIVE_KERNELS; ROADMAP.md item 3 tracks a portable tanh.
 ///
 /// The kernels also match the naive reference implementations in
 /// nn/Matrix.h element for element up to FMA rounding (asserted in

@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Internal interface between the kernel dispatcher (nn/Kernels.cpp,
-/// nn/KernelsInt8.cpp) and the ISA-specific translation units
-/// (nn/KernelsAvx.cpp built -mavx2 -mfma, nn/KernelsAvx512.cpp built
-/// -mavx512f). Not part of the public kernel API.
+/// Internal interface between the kernel dispatcher (nn/Kernels.cpp) and
+/// the ISA-specific translation units (nn/KernelsAvx.cpp built -mavx2
+/// -mfma, nn/KernelsAvx512.cpp built -mavx512f). Not part of the public
+/// kernel API.
 ///
 /// Every function here computes *raw* output rows — no bias, no
 /// activation. The dispatcher owns the epilogue (bias add + activation),
-/// which is the same portable code for every tier, so the epilogue can
-/// never split the cross-ISA bit-identity contract (docs/kernels.md).
+/// which is the same code for every tier, so within one build the
+/// epilogue cannot split the cross-ISA bit-identity contract
+/// (docs/kernels.md).
 ///
 /// Row-range semantics match the dispatcher's panel fan-out: a function
 /// is handed [RowBegin, RowEnd) of the *output* and must touch nothing
@@ -31,8 +32,6 @@
 
 #include "nn/Kernels.h"
 #include "nn/Matrix.h"
-
-#include <cstdint>
 
 namespace nv {
 
@@ -61,32 +60,6 @@ using GemmTARowsFn = void (*)(Matrix &C, const Matrix &A, const Matrix &B,
 using GemmTBRowsFn = void (*)(Matrix &C, const Matrix &A, const Matrix &B,
                               int RowBegin, int RowEnd);
 
-/// Y[r][o] = (Sx[r] * WScale[o]) * dot(X row r, weight row o) for r in
-/// [0, MR), o in [0, OCur): up to KernelMR quantized activation rows
-/// (stride \p XStride) against one chunk of outputs, dequantized into
-/// the raw fp64 output rows (stride \p YStride; the shared epilogue
-/// runs after). Blocking over rows lets the vector tiers reuse each
-/// weight load across every row — the weight panel is streamed once per
-/// row *quad*, matching the fp64 kernels' MR=4 memory behavior. \p Wq
-/// is the transposed int8 layout (stride KPad); \p WqPair the
-/// interleaved int16 panel (stride OutPad * 2 per k-pair) — each tier
-/// reads the layout it wants. Integer accumulation is exact and the
-/// dequant is the same two IEEE multiplies in the same order on every
-/// tier, so the tiers produce identical output bits.
-using Int8PanelFn = void (*)(const int16_t *X, size_t XStride, int MR,
-                             const int8_t *Wq, const int16_t *WqPair,
-                             int KPad, int OutPad, int OCur,
-                             const double *Sx, const double *WScale,
-                             double *Y, size_t YStride);
-
-/// Symmetric int8-range quantization of one fp64 row into widened int16
-/// storage: scale = maxabs / 127 (1.0 for an all-zero row), values
-/// rounded to nearest (even) and clamped to [-127, 127]. Returns the
-/// scale. Every tier computes identical values: maxabs is exact, the
-/// x * (127 / maxabs) product is one IEEE multiply, and both std::lrint
-/// and the vector convert round to nearest under the default mode.
-using QuantRowFn = double (*)(const double *Src, int N, int16_t *Dst);
-
 #ifdef NV_HAVE_AVX2_KERNELS
 void gemmRowsAvx2(Matrix &C, const Matrix &A, const Matrix &B, int RowBegin,
                   int RowEnd);
@@ -94,11 +67,6 @@ void gemmTARowsAvx2(Matrix &C, const Matrix &A, const Matrix &B,
                     bool Accumulate, int RowBegin, int RowEnd);
 void gemmTBRowsAvx2(Matrix &C, const Matrix &A, const Matrix &B,
                     int RowBegin, int RowEnd);
-void int8PanelAvx2(const int16_t *X, size_t XStride, int MR,
-                   const int8_t *Wq, const int16_t *WqPair, int KPad,
-                   int OutPad, int OCur, const double *Sx,
-                   const double *WScale, double *Y, size_t YStride);
-double quantizeRowAvx2(const double *Src, int N, int16_t *Dst);
 #endif
 
 #ifdef NV_HAVE_AVX512_KERNELS
@@ -111,13 +79,12 @@ void gemmTBRowsAvx512(Matrix &C, const Matrix &A, const Matrix &B,
 #endif
 
 /// Bias + activation over one raw output row — the single shared epilogue
-/// every tier (fp64 and int8) funnels through. Defined in Kernels.cpp.
+/// every tier funnels through. Defined in Kernels.cpp.
 void epilogueRow(double *CRow, const double *Bias, int N, Activation Act);
 
 /// Runs \p Panel(RowBegin, RowEnd) over [0, M) in KernelMR-row panels,
-/// across \p Pool when \p Work justifies it. Shared by the fp64 and int8
-/// dispatchers so both inherit the same partition (and therefore the same
-/// pool-size invariance argument).
+/// across \p Pool when \p Work justifies it. Panel boundaries depend only
+/// on \p M, so the partition (and the result) is independent of pool size.
 template <typename PanelFn>
 inline void forEachKernelRowPanel(ThreadPool *Pool, int M, long long Work,
                                   const PanelFn &Panel);

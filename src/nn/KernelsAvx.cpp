@@ -1,4 +1,4 @@
-//===- nn/KernelsAvx.cpp - AVX2/FMA fp64 + int8 microkernels ---------------===//
+//===- nn/KernelsAvx.cpp - AVX2/FMA fp64 microkernels ---------------------===//
 //
 // Explicit AVX2 register-blocked microkernels (this TU is compiled
 // -mavx2 -mfma; everything else in the library stays portable — dispatch
@@ -12,7 +12,6 @@
 // per-lane partial sums instead (the dot-product layout has no profitable
 // column vectorization), so it matches other tiers only within rounding;
 // it is still deterministic and pool-size-invariant for a fixed tier.
-// int8MatVec accumulates integers, which are exact in any order.
 //
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +25,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <immintrin.h>
 
 using namespace nv;
@@ -266,155 +264,6 @@ void nv::detail::gemmTBRowsAvx2(Matrix &C, const Matrix &A, const Matrix &B,
       CRow[J] = Sum;
     }
   }
-}
-
-namespace {
-
-/// One 256-bit madd_epi16 against a broadcast X k-pair accumulates two
-/// k steps for 8 outputs in lane order — no horizontal reduction, which
-/// is what made a per-output dot-product layout slower than the fp64
-/// GEMM at this repo's small layer widths. Each weight load is shared
-/// across R row broadcasts, so the weight panel streams once per row
-/// quad (the int8 analogue of microGemm8's MR blocking); dequant
-/// happens in-register on the way out.
-template <int R>
-void int8PanelImpl(const int16_t *X, size_t XStride, const int16_t *WqPair,
-                   int KPad, int OutPad, int OCur, const double *Sx,
-                   const double *WScale, double *Y, size_t YStride) {
-  const int K2 = KPad / 2; // KPad is a multiple of 32.
-  const size_t Stride = static_cast<size_t>(OutPad) * 2;
-  __m256d SxV[R];
-  for (int Rr = 0; Rr < R; ++Rr)
-    SxV[Rr] = _mm256_set1_pd(Sx[Rr]);
-
-  // (Sx * WScale[o]) * acc — the same two multiplies in the same order
-  // as the scalar tier, so dequant cannot split the bit-identity.
-  const auto Dequant8 = [&](__m256i Sum, int Rr, int O) {
-    const __m256d Lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(Sum));
-    const __m256d Hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256(Sum, 1));
-    double *YRow = Y + Rr * YStride;
-    _mm256_storeu_pd(
-        YRow + O,
-        _mm256_mul_pd(_mm256_mul_pd(SxV[Rr], _mm256_loadu_pd(WScale + O)),
-                      Lo));
-    _mm256_storeu_pd(
-        YRow + O + 4,
-        _mm256_mul_pd(
-            _mm256_mul_pd(SxV[Rr], _mm256_loadu_pd(WScale + O + 4)), Hi));
-  };
-
-  int O = 0;
-  for (; O + 8 <= OCur; O += 8) {
-    const int16_t *WCol = WqPair + static_cast<size_t>(O) * 2;
-    __m256i Acc[R];
-    for (int Rr = 0; Rr < R; ++Rr)
-      Acc[Rr] = _mm256_setzero_si256();
-    for (int K = 0; K < K2; ++K) {
-      const __m256i Wv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i *>(WCol + K * Stride));
-      for (int Rr = 0; Rr < R; ++Rr) {
-        int32_t Pair;
-        std::memcpy(&Pair, X + Rr * XStride + 2 * K, sizeof(Pair));
-        Acc[Rr] = _mm256_add_epi32(
-            Acc[Rr], _mm256_madd_epi16(_mm256_set1_epi32(Pair), Wv));
-      }
-    }
-    for (int Rr = 0; Rr < R; ++Rr)
-      Dequant8(Acc[Rr], Rr, O);
-  }
-  if (O < OCur) {
-    // Output tail: WqPair is zero-padded to OutPad so the full 8-lane
-    // block is computable; dequant only the live lanes (WScale/Y end at
-    // the true output count).
-    const int16_t *WCol = WqPair + static_cast<size_t>(O) * 2;
-    __m256i Acc[R];
-    for (int Rr = 0; Rr < R; ++Rr)
-      Acc[Rr] = _mm256_setzero_si256();
-    for (int K = 0; K < K2; ++K) {
-      const __m256i Wv = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i *>(WCol + K * Stride));
-      for (int Rr = 0; Rr < R; ++Rr) {
-        int32_t Pair;
-        std::memcpy(&Pair, X + Rr * XStride + 2 * K, sizeof(Pair));
-        Acc[Rr] = _mm256_add_epi32(
-            Acc[Rr], _mm256_madd_epi16(_mm256_set1_epi32(Pair), Wv));
-      }
-    }
-    for (int Rr = 0; Rr < R; ++Rr) {
-      alignas(32) int32_t Tmp[8];
-      _mm256_store_si256(reinterpret_cast<__m256i *>(Tmp), Acc[Rr]);
-      double *YRow = Y + Rr * YStride;
-      for (int T = 0; O + T < OCur; ++T)
-        YRow[O + T] = (Sx[Rr] * WScale[O + T]) * static_cast<double>(Tmp[T]);
-    }
-  }
-}
-
-} // namespace
-
-void nv::detail::int8PanelAvx2(const int16_t *X, size_t XStride, int MR,
-                               const int8_t *, const int16_t *WqPair,
-                               int KPad, int OutPad, int OCur,
-                               const double *Sx, const double *WScale,
-                               double *Y, size_t YStride) {
-  switch (MR) {
-  case 4:
-    int8PanelImpl<4>(X, XStride, WqPair, KPad, OutPad, OCur, Sx, WScale, Y,
-                     YStride);
-    break;
-  case 3:
-    int8PanelImpl<3>(X, XStride, WqPair, KPad, OutPad, OCur, Sx, WScale, Y,
-                     YStride);
-    break;
-  case 2:
-    int8PanelImpl<2>(X, XStride, WqPair, KPad, OutPad, OCur, Sx, WScale, Y,
-                     YStride);
-    break;
-  default:
-    int8PanelImpl<1>(X, XStride, WqPair, KPad, OutPad, OCur, Sx, WScale, Y,
-                     YStride);
-    break;
-  }
-}
-
-double nv::detail::quantizeRowAvx2(const double *Src, int N, int16_t *Dst) {
-  const __m256d AbsMask = _mm256_castsi256_pd(
-      _mm256_set1_epi64x(0x7fffffffffffffffLL));
-  __m256d Max4 = _mm256_setzero_pd();
-  int J = 0;
-  for (; J + 4 <= N; J += 4)
-    Max4 = _mm256_max_pd(Max4,
-                         _mm256_and_pd(AbsMask, _mm256_loadu_pd(Src + J)));
-  // max is exact and order-free, so this matches the scalar tier's scan.
-  const __m128d MaxHalf = _mm_max_pd(_mm256_castpd256_pd128(Max4),
-                                     _mm256_extractf128_pd(Max4, 1));
-  double MaxAbs =
-      _mm_cvtsd_f64(_mm_max_sd(MaxHalf, _mm_unpackhi_pd(MaxHalf, MaxHalf)));
-  for (; J < N; ++J)
-    MaxAbs = std::max(MaxAbs, std::fabs(Src[J]));
-  if (MaxAbs == 0.0) {
-    std::fill(Dst, Dst + N, static_cast<int16_t>(0));
-    return 1.0;
-  }
-  const double Scale = MaxAbs / 127.0;
-  const double InvScale = 127.0 / MaxAbs;
-  const __m256d Inv = _mm256_set1_pd(InvScale);
-  J = 0;
-  for (; J + 4 <= N; J += 4) {
-    // cvtpd rounds to nearest even under the default mode — exactly what
-    // std::lrint does on the scalar tier. |x| * Inv <= 127 by
-    // construction, so the int16 pack cannot saturate.
-    const __m128i I32 =
-        _mm256_cvtpd_epi32(_mm256_mul_pd(_mm256_loadu_pd(Src + J), Inv));
-    _mm_storel_epi64(reinterpret_cast<__m128i *>(Dst + J),
-                     _mm_packs_epi32(I32, I32));
-  }
-  for (; J < N; ++J) {
-    long Q = std::lrint(Src[J] * InvScale);
-    Q = std::min(127L, std::max(-127L, Q));
-    Dst[J] = static_cast<int16_t>(Q);
-  }
-  return Scale;
 }
 
 #endif // __AVX2__ && __FMA__

@@ -19,13 +19,6 @@ void LinearLayer::forwardInto(const Matrix &X, Matrix &Y, Activation Fused,
   assert(&X != &Y && "forwardInto must not alias input and output");
   if (CacheInput)
     CachedX = X; // Copy-assign reuses CachedX's allocation once warm.
-  // The int8 shadow only serves pure-inference forwards: a cached input
-  // means a backward pass may follow, and gradients must be computed
-  // against the fp32 weights actually updated by the optimizer.
-  if (!CacheInput && Quant.ready()) {
-    gemmQuantInto(Y, X, Quant, &B.Value, Fused, QScratch, Pool);
-    return;
-  }
   gemmInto(Y, X, W.Value, &B.Value, Fused, Pool);
 }
 
@@ -151,23 +144,6 @@ Matrix MLP::backward(const Matrix &dY) {
     }
   }
   return *Cur;
-}
-
-void MLP::quantizeForInference() {
-  for (auto &L : Linears)
-    L->quantizeForInference();
-}
-
-void MLP::clearQuantized() {
-  for (auto &L : Linears)
-    L->clearQuantized();
-}
-
-bool MLP::isQuantized() const {
-  for (const auto &L : Linears)
-    if (!L->isQuantized())
-      return false;
-  return !Linears.empty();
 }
 
 std::vector<Param *> MLP::params() {

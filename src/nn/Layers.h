@@ -26,7 +26,6 @@
 #define NV_NN_LAYERS_H
 
 #include "nn/Kernels.h"
-#include "nn/KernelsInt8.h"
 #include "nn/Matrix.h"
 #include "nn/Workspace.h"
 
@@ -78,21 +77,11 @@ public:
   int inputSize() const { return W.Value.rows(); }
   int outputSize() const { return W.Value.cols(); }
 
-  /// Builds (or refreshes) the int8 shadow of W. Once built, inference
-  /// forwards (CacheInput = false) run through the quantized kernel;
-  /// training forwards always stay fp32 because they cache their input.
-  /// Must be re-run after any weight update (the shadow does not track W).
-  void quantizeForInference() { quantizeLinearWeights(W.Value, Quant); }
-  void clearQuantized() { Quant.clear(); }
-  bool isQuantized() const { return Quant.ready(); }
-
   Param W; ///< (In x Out)
   Param B; ///< (1 x Out)
 
 private:
   Matrix CachedX;
-  QuantizedLinear Quant; ///< Int8 shadow of W (empty = fp32 only).
-  QuantScratch QScratch;
 };
 
 /// Supported activations live in nn/Kernels.h (enum class Activation) so
@@ -138,11 +127,6 @@ public:
   std::vector<Param *> params();
   int inputSize() const { return Linears.front()->inputSize(); }
   int outputSize() const { return Linears.back()->outputSize(); }
-
-  /// Layer-wise int8 quantization (see LinearLayer::quantizeForInference).
-  void quantizeForInference();
-  void clearQuantized();
-  bool isQuantized() const;
 
 private:
   Activation Act;

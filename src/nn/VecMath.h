@@ -10,12 +10,18 @@
 /// batched forward (~60% pre-vectorization on one core), so this one
 /// function gets its own translation unit built with the flags that let
 /// the compiler emit libmvec vector calls (see CMakeLists.txt). On
-/// toolchains without vector math it degrades to the scalar libm loop —
-/// same results, same API.
+/// toolchains without vector math, and with NV_NATIVE_KERNELS=OFF, it
+/// degrades to the scalar libm loop: same API, but *not* the same bits.
+/// libmvec's tanh differs from scalar std::tanh in the last bits on over
+/// a third of inputs (381,776 of 1M draws from N(0, 1) on an AVX-512
+/// host, gcc 12.2), and libmvec's AVX2 and AVX-512 variants differ from
+/// each other.
 ///
 /// Determinism: the vector/scalar split inside vecTanh depends only on
-/// \p N, never on threading, so the blocked kernels stay bit-identical
-/// across pool sizes.
+/// \p N, never on threading or the kernel tier, so the blocked kernels
+/// stay bit-identical across pool sizes and tiers *within one build*.
+/// Across build hosts and NV_NATIVE_KERNELS settings the tanh bits move
+/// (ROADMAP.md item 3 tracks a portable, bit-exact tanh).
 ///
 //===----------------------------------------------------------------------===//
 

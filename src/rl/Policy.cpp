@@ -335,23 +335,6 @@ std::vector<Param *> Policy::params() {
   return All;
 }
 
-void Policy::quantizeForInference() {
-  Trunk.quantizeForInference();
-  ActionHead.quantizeForInference();
-  ValueHead.quantizeForInference();
-}
-
-void Policy::clearQuantized() {
-  Trunk.clearQuantized();
-  ActionHead.clearQuantized();
-  ValueHead.clearQuantized();
-}
-
-bool Policy::isQuantized() const {
-  return Trunk.isQuantized() && ActionHead.isQuantized() &&
-         ValueHead.isQuantized();
-}
-
 VectorPlan Policy::toPlan(const ActionRecord &Action,
                           const TargetInfo &TI) const {
   const std::vector<int> VFs = TI.vfActions();

@@ -107,13 +107,6 @@ public:
 
   std::vector<Param *> params();
 
-  /// Builds (or refreshes) the int8 shadows of the trunk and both heads.
-  /// Inference forwards (ForBackward = false) then run int8; training
-  /// forwards stay fp32. Must be re-run after weight updates.
-  void quantizeForInference();
-  void clearQuantized();
-  bool isQuantized() const;
-
   /// Maps an ActionRecord to concrete factors given the action arrays.
   VectorPlan toPlan(const ActionRecord &Action, const TargetInfo &TI) const;
 

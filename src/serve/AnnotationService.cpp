@@ -295,10 +295,6 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
   // batch. Trace spans are decided once per batch by the sampling knob;
   // a null buffer makes every span in this batch free.
   ServeStats Delta;
-  // The embedder's int8 shadow is the batch-level quantization signal:
-  // model owners quantize embedder and policy together.
-  if (E->isQuantized())
-    ++Delta.QuantizedBatches;
   TraceBuffer *TB = nullptr;
   if (Config.Telemetry && Telemetry::trace().shouldSample())
     TB = &Telemetry::trace();

@@ -110,12 +110,6 @@ struct ServeConfig {
   /// the forward. NeuroVectorizer::service() fills it in; hosted mode
   /// ignores it (the flag rides with each generation's metadata).
   bool LegalityFeatures = false;
-  /// Borrowed-model mode: serve through int8-quantized weights.
-  /// NeuroVectorizer::service() honors it by quantizing the borrowed
-  /// embedder/policy (and re-quantizing after each train()/load());
-  /// hosted mode ignores it — quantization rides with each generation
-  /// via ServingModelConfig::Quantized. See docs/quantization.md.
-  bool Quantized = false;
   /// Record per-phase latency histograms (serve.*_us), pool queue
   /// metrics, and — when the trace sampling knob is on — phase spans
   /// into the process-wide telemetry (support/Telemetry.h). Histogram

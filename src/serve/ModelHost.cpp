@@ -42,10 +42,6 @@ ServingModel::ServingModel(const ServingModelConfig &Config)
 ModelHost::ModelHost(const ServingModelConfig &Config) : Config(Config) {
   auto Initial = std::make_shared<ServingModel>(Config);
   Initial->Generation = 0;
-  if (Config.Quantized) {
-    Initial->Embedder.quantizeForInference();
-    Initial->Pol.quantizeForInference();
-  }
   std::atomic_store(&Current,
                     std::shared_ptr<const ServingModel>(std::move(Initial)));
 }
@@ -75,12 +71,6 @@ LoadStatus ModelHost::reload(const std::string &Path, std::string *Error) {
   if (Status != LoadStatus::Ok)
     return Status;
   Fresh->Path = Path;
-  // Quantize strictly after the load so the int8 shadows reflect the
-  // weights this generation actually serves.
-  if (Config.Quantized) {
-    Fresh->Embedder.quantizeForInference();
-    Fresh->Pol.quantizeForInference();
-  }
 
   // Writers serialize so generation ids are dense and monotonic even
   // under concurrent reloads; the store itself is the RCU flip.

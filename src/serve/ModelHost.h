@@ -61,11 +61,6 @@ struct ServingModelConfig {
   /// Build the policy over legality-feature-widened states (must match
   /// the flag the hosted model files were saved with — tryLoad validates).
   bool LegalityFeatures = false;
-  /// Quantize each generation's embedder + policy weights to int8 at
-  /// build time (after any load), so inference forwards run through the
-  /// int8 kernels. Serving-only: the model file and training stay fp32.
-  /// See docs/quantization.md for the accuracy guarantee.
-  bool Quantized = false;
 };
 
 /// One immutable generation of the serving model: the embedder, the
@@ -81,10 +76,6 @@ public:
   const ModelMeta &meta() const { return Meta; }
   uint64_t generation() const { return Generation; }
   const std::string &path() const { return Path; }
-  /// True when this generation serves through the int8 kernels.
-  bool isQuantized() const {
-    return Embedder.isQuantized() && Pol.isQuantized();
-  }
 
 private:
   friend class ModelHost;

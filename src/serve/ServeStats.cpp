@@ -33,7 +33,6 @@ void ServeStats::addBatch(const ServeStats &Delta) {
   CacheMisses += Delta.CacheMisses.load();
   ForwardPasses += Delta.ForwardPasses.load();
   LoopsPerForward += Delta.LoopsPerForward.load();
-  QuantizedBatches += Delta.QuantizedBatches.load();
   ExtractMicros += Delta.ExtractMicros.load();
   InferMicros += Delta.InferMicros.load();
   RenderMicros += Delta.RenderMicros.load();
@@ -70,7 +69,6 @@ ServeSnapshot ServeStats::snapshot() const {
   S.CacheMisses = CacheMisses.load();
   S.ForwardPasses = ForwardPasses.load();
   S.LoopsPerForward = LoopsPerForward.load();
-  S.QuantizedBatches = QuantizedBatches.load();
   S.ExtractMicros = ExtractMicros.load();
   S.InferMicros = InferMicros.load();
   S.RenderMicros = RenderMicros.load();
@@ -107,7 +105,6 @@ void ServeStats::reset() {
   CacheMisses = 0;
   ForwardPasses = 0;
   LoopsPerForward = 0;
-  QuantizedBatches = 0;
   ExtractMicros = 0;
   InferMicros = 0;
   RenderMicros = 0;
@@ -132,7 +129,6 @@ Table ServeStats::toTable() const {
     T.addRow({Name, std::to_string(Value)});
   };
   AddCount("batches", S.BatchesServed);
-  AddCount("quantized batches", S.QuantizedBatches);
   T.addRow({"kernel isa", kernelIsaName(kernelIsa())});
   AddCount("programs served", S.ProgramsServed);
   AddCount("programs rejected", S.ProgramsRejected);

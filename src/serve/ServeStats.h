@@ -80,7 +80,6 @@ struct ServeSnapshot {
   uint64_t CacheMisses = 0;
   uint64_t ForwardPasses = 0;
   uint64_t LoopsPerForward = 0;
-  uint64_t QuantizedBatches = 0; ///< Batches served by int8 generations.
   uint64_t ExtractMicros = 0;
   uint64_t InferMicros = 0;
   uint64_t RenderMicros = 0;
@@ -124,9 +123,6 @@ public:
   std::atomic<uint64_t> CacheMisses{0}; ///< Distinct loops sent to the net.
   std::atomic<uint64_t> ForwardPasses{0}; ///< Batched policy forwards run.
   std::atomic<uint64_t> LoopsPerForward{0}; ///< Rows across all forwards.
-  /// Batches whose resolved model served through the int8 kernels
-  /// (ServingModelConfig::Quantized / ServeConfig::Quantized).
-  std::atomic<uint64_t> QuantizedBatches{0};
 
   /// Wall time (microseconds) per phase, summed over batches.
   std::atomic<uint64_t> ExtractMicros{0}; ///< Parse + path contexts.

@@ -288,4 +288,73 @@ TEST(AST, CloneIsDeep) {
   EXPECT_EQ(printStmt(*Copy.Body).find("#pragma"), std::string::npos);
 }
 
+// --- Nesting bound ------------------------------------------------------
+// The daemon parses client text and every pass after the parser recurses
+// over the AST, so past the parser's nesting bound (256 levels) a program
+// must be a parse error rather than a stack overflow. 20k levels killed
+// the parser (parentheses) or a later pass (a long sum) before the bound.
+
+std::string loopAssigning(const std::string &Expr) {
+  return "float a[64]; void f() { for (int i = 0; i < 64; i++) { a[i] = " +
+         Expr + "; } }";
+}
+
+std::string sumOfOnes(int Terms) {
+  std::string Sum = "1";
+  for (int I = 1; I < Terms; ++I)
+    Sum += "+1";
+  return Sum;
+}
+
+void expectTooDeep(const std::string &Source) {
+  std::string Error;
+  EXPECT_FALSE(parseSource(Source, &Error).has_value());
+  EXPECT_NE(Error.find("nesting too deep"), std::string::npos) << Error;
+}
+
+TEST(Parser, RejectsDeeplyNestedParentheses) {
+  const int N = 20000;
+  expectTooDeep(
+      loopAssigning(std::string(N, '(') + "1" + std::string(N, ')')));
+}
+
+TEST(Parser, RejectsLongLeftAssociativeChain) {
+  // parseBinary builds this chain in a loop, but the tree is one level
+  // deeper per operator.
+  expectTooDeep(loopAssigning(sumOfOnes(20000)));
+  // A long left operand nested in parentheses adds to the enclosing
+  // chain's depth.
+  std::string Nested = "(" + sumOfOnes(150) + ")";
+  expectTooDeep(loopAssigning(Nested + "+" + sumOfOnes(150)));
+}
+
+TEST(Parser, RejectsDeeplyNestedStatements) {
+  const int N = 20000;
+  std::string Loops = "float a[8]; void f() { ";
+  for (int I = 0; I < N; ++I)
+    Loops += "for (int i = 0; i < 8; i++) ";
+  expectTooDeep(Loops + "a[0] = 1; }");
+  expectTooDeep("void f() { " + std::string(N, '{') + std::string(N, '}') +
+                " }");
+  std::string ElseIfs = "int x; void f() { if (x) x = 1; ";
+  for (int I = 0; I < N; ++I)
+    ElseIfs += "else if (x) x = 1; ";
+  expectTooDeep(ElseIfs + "}");
+}
+
+TEST(Parser, AcceptsNestingWellInsideTheBound) {
+  // The deepest program in the bundled suites and generator templates
+  // nests 9 levels.
+  std::string Siblings = sumOfOnes(200); // Sibling chains do not add up.
+  for (int I = 0; I < 3; ++I)
+    Siblings += "; a[i] = " + sumOfOnes(200);
+  for (const std::string &Expr :
+       {std::string(200, '(') + "1" + std::string(200, ')'), Siblings}) {
+    std::string Error;
+    std::optional<Program> P = parseSource(loopAssigning(Expr), &Error);
+    ASSERT_TRUE(P.has_value()) << Error;
+    EXPECT_EQ(extractLoops(*P).size(), 1u);
+  }
+}
+
 } // namespace

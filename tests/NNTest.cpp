@@ -520,147 +520,3 @@ TEST(KernelIsa, EnvOverrideNamesParse) {
   EXPECT_EQ(setKernelIsa(KernelIsa::Avx512),
             std::min(KernelIsa::Avx512, Detected));
 }
-
-//===----------------------------------------------------------------------===//
-// Int8 quantized inference kernels (docs/quantization.md)
-//===----------------------------------------------------------------------===//
-
-TEST(KernelsInt8, MatchesFp32WithinQuantTolerance) {
-  RNG Rng(81);
-  // In = 33 exercises the zero-padded KPad tail; Out = 300 crosses the
-  // dispatcher's 256-column accumulator chunk.
-  const int Shapes[][3] = {{1, 1, 1}, {4, 33, 7}, {9, 64, 300}, {17, 40, 64}};
-  const Activation Acts[] = {Activation::Identity, Activation::ReLU,
-                             Activation::Tanh};
-  for (const auto &S : Shapes) {
-    const int M = S[0], K = S[1], N = S[2];
-    Matrix X = randomMatrix(M, K, Rng);
-    Matrix W = randomMatrix(K, N, Rng);
-    Matrix Bias = randomMatrix(1, N, Rng);
-    QuantizedLinear Q;
-    quantizeLinearWeights(W, Q);
-    EXPECT_TRUE(Q.ready());
-    EXPECT_EQ(Q.KPad % 32, 0);
-    for (Activation Act : Acts) {
-      Matrix F, I8;
-      gemmInto(F, X, W, &Bias, Act);
-      QuantScratch Scratch;
-      gemmQuantInto(I8, X, Q, &Bias, Act, Scratch);
-      ASSERT_EQ(F.rows(), I8.rows());
-      ASSERT_EQ(F.cols(), I8.cols());
-      // Symmetric per-row x per-output scales: each product carries
-      // ~1/127 relative error per factor and the errors accumulate like
-      // a random walk over k, so the bound grows with sqrt(K). Loose
-      // enough for Gaussian data at any K here, tight enough that a
-      // broken kernel (errors ~ output magnitude) fails outright.
-      double MaxAbs = 0.0;
-      for (double V : F.raw())
-        MaxAbs = std::max(MaxAbs, std::fabs(V));
-      const double Tol = 0.05 * std::sqrt(static_cast<double>(K)) *
-                         (1.0 + MaxAbs);
-      for (size_t E = 0; E < F.raw().size(); ++E)
-        EXPECT_NEAR(F.raw()[E], I8.raw()[E], Tol)
-            << M << "x" << K << "x" << N;
-    }
-  }
-}
-
-TEST(KernelsInt8, BitIdenticalAcrossTiersAndPools) {
-  // Integer accumulation is exact, so the int8 path is bit-identical not
-  // just across pool sizes but across ISA tiers too — stronger than the
-  // fp64 gemmTB story, and what lets a quantized deployment pin plans
-  // across heterogeneous serving hosts.
-  IsaGuard Guard;
-  RNG Rng(82);
-  Matrix X = randomMatrix(13, 47, Rng);
-  Matrix W = randomMatrix(47, 66, Rng);
-  Matrix Bias = randomMatrix(1, 66, Rng);
-  QuantizedLinear Q;
-  quantizeLinearWeights(W, Q);
-
-  setKernelIsa(KernelIsa::Scalar);
-  Matrix Ref;
-  QuantScratch RefScratch;
-  gemmQuantInto(Ref, X, Q, &Bias, Activation::Tanh, RefScratch);
-  for (KernelIsa Isa : availableIsas()) {
-    setKernelIsa(Isa);
-    QuantScratch Scratch;
-    Matrix C;
-    gemmQuantInto(C, X, Q, &Bias, Activation::Tanh, Scratch);
-    EXPECT_EQ(Ref.raw(), C.raw()) << kernelIsaName(Isa);
-    ThreadPool Pool(3);
-    Matrix Pooled;
-    gemmQuantInto(Pooled, X, Q, &Bias, Activation::Tanh, Scratch, &Pool);
-    EXPECT_EQ(Ref.raw(), Pooled.raw()) << kernelIsaName(Isa) << " pooled";
-  }
-}
-
-TEST(KernelsInt8, ZeroAndTinyWeightsStayFinite) {
-  // All-zero weight columns take the scale-1.0 fallback; the output must
-  // be exactly bias (then activation), never NaN.
-  Matrix W(16, 3, 0.0);
-  W.at(0, 1) = 1e-30; // Denormal-ish column still quantizes cleanly.
-  Matrix X(2, 16, 0.5);
-  Matrix Bias(1, 3, 0.25);
-  QuantizedLinear Q;
-  quantizeLinearWeights(W, Q);
-  QuantScratch Scratch;
-  Matrix Y;
-  gemmQuantInto(Y, X, Q, &Bias, Activation::Identity, Scratch);
-  EXPECT_DOUBLE_EQ(Y.at(0, 0), 0.25);
-  EXPECT_DOUBLE_EQ(Y.at(1, 2), 0.25);
-  for (double V : Y.raw())
-    EXPECT_TRUE(std::isfinite(V));
-}
-
-TEST(KernelsInt8, LinearLayerQuantizesInferenceOnly) {
-  RNG R1(91), R2(91);
-  LinearLayer Plain(12, 8, R1);
-  LinearLayer Quant(12, 8, R2); // Identical init stream.
-  Quant.quantizeForInference();
-  EXPECT_TRUE(Quant.isQuantized());
-  EXPECT_FALSE(Plain.isQuantized());
-
-  RNG Rx(92);
-  Matrix X = randomMatrix(5, 12, Rx);
-  // Training-shaped forward (CacheInput = true): the quantized layer must
-  // take the fp32 path bit for bit — gradients depend on it.
-  Matrix YPlain, YQuant;
-  Plain.forwardInto(X, YPlain, Activation::Tanh, nullptr,
-                    /*CacheInput=*/true);
-  Quant.forwardInto(X, YQuant, Activation::Tanh, nullptr,
-                    /*CacheInput=*/true);
-  EXPECT_EQ(YPlain.raw(), YQuant.raw());
-
-  // Inference forward: int8 path — near fp32, not (generally) equal.
-  Matrix YInfer;
-  Quant.forwardInto(X, YInfer, Activation::Tanh, nullptr,
-                    /*CacheInput=*/false);
-  expectNear(YPlain, YInfer, 0.1, "int8 inference forward");
-
-  Quant.clearQuantized();
-  EXPECT_FALSE(Quant.isQuantized());
-  Quant.forwardInto(X, YInfer, Activation::Tanh, nullptr,
-                    /*CacheInput=*/false);
-  EXPECT_EQ(YPlain.raw(), YInfer.raw()); // Back to fp32 exactly.
-}
-
-TEST(KernelsInt8, MLPQuantizeRoundTrip) {
-  RNG R(93);
-  MLP Net({10, 16, 4}, Activation::Tanh, R);
-  EXPECT_FALSE(Net.isQuantized());
-  Net.quantizeForInference();
-  EXPECT_TRUE(Net.isQuantized());
-
-  RNG Rx(94);
-  Matrix X = randomMatrix(3, 10, Rx);
-  Matrix Fp32, Int8;
-  Net.forwardInto(X, Fp32, nullptr, /*ActivateLast=*/false,
-                  /*ForBackward=*/true); // Training path: fp32.
-  Net.forwardInto(X, Int8, nullptr, /*ActivateLast=*/false,
-                  /*ForBackward=*/false); // Inference path: int8.
-  expectNear(Fp32, Int8, 0.15, "quantized MLP forward");
-
-  Net.clearQuantized();
-  EXPECT_FALSE(Net.isQuantized());
-}

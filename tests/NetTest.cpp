@@ -539,6 +539,41 @@ TEST(NetServer, EndToEndAnnotateStatszReload) {
   EXPECT_EQ(C.Annotated, 3u);
 }
 
+TEST(NetServer, DeeplyNestedProgramIsAParseErrorNotACrash) {
+  // 20k nested parentheses overflowed the parser's stack and a 20k-term
+  // sum overflowed a later pass's, killing the daemon mid-frame.
+  TestServer S;
+  const uint16_t Port = S.start();
+  ASSERT_NE(Port, 0);
+  NetClient Client;
+  std::string Error;
+  ASSERT_TRUE(Client.connect("127.0.0.1", Port, &Error)) << Error;
+
+  const int N = 20000;
+  const std::string Head =
+      "float a[64]; void f() { for (int i = 0; i < 64; i++) { a[i] = ";
+  std::string Sum = "1";
+  for (int I = 1; I < N; ++I)
+    Sum += "+1";
+  net::AnnotateResponseBody Res;
+  WireStatus Status;
+  ASSERT_TRUE(Client.annotate(
+      makeBatch({Head + std::string(N, '(') + "1" + std::string(N, ')') +
+                     "; } }",
+                 Head + Sum + "; } }", Saxpy}),
+      Res, Status, &Error))
+      << Error;
+  ASSERT_EQ(Status, WireStatus::Ok);
+  ASSERT_EQ(Res.Results.size(), 3u);
+  for (size_t I = 0; I < 2; ++I) {
+    EXPECT_FALSE(Res.Results[I].Ok);
+    EXPECT_EQ(Res.Results[I].Error.rfind("parse error", 0), 0u)
+        << Res.Results[I].Error;
+  }
+  EXPECT_TRUE(Res.Results[2].Ok) << Res.Results[2].Error;
+  EXPECT_TRUE(Client.ping(&Error)) << Error;
+}
+
 TEST(NetServer, OverloadedShedsBeforeQueueing) {
   NetServerConfig Net;
   Net.MaxInFlightBytes = 1; // Every annotate body exceeds this.
@@ -765,34 +800,3 @@ TEST(NetServer, ConcurrentHotReloadIsGenerationConsistent) {
 }
 
 } // namespace
-
-TEST(ModelHost, QuantizedGenerationServesFp32PlansAcrossReload) {
-  // Hot reload into a quantized generation: the freshly loaded weights
-  // are re-quantized before the RCU flip, and the served plans still
-  // match an fp32 reference instance loading the same file.
-  TempFile File("net_quant_reload.nvm");
-  saveTrainedModel(File.Path, /*Seed=*/61);
-  const auto Ref = referencePlans(File.Path, {DotProduct, Saxpy});
-
-  NeuroVectorizerConfig Config = testConfig();
-  ServingModelConfig HostConfig =
-      NeuroVectorizer(Config).servingModelConfig();
-  HostConfig.Quantized = true;
-  ModelHost Host(HostConfig);
-  EXPECT_TRUE(Host.current()->isQuantized());
-  AnnotationService Service(Host, Config.Embedding.Paths, Config.Target,
-                            smallServe());
-
-  std::string Error;
-  ASSERT_EQ(Host.reload(File.Path, &Error), LoadStatus::Ok) << Error;
-  EXPECT_TRUE(Host.current()->isQuantized());
-
-  AnnotationResult RDot = Service.annotateOne("dot", DotProduct);
-  AnnotationResult RSaxpy = Service.annotateOne("saxpy", Saxpy);
-  ASSERT_TRUE(RDot.Ok) << RDot.Error;
-  ASSERT_TRUE(RSaxpy.Ok) << RSaxpy.Error;
-  EXPECT_EQ(RDot.Plans, Ref[0]);
-  EXPECT_EQ(RSaxpy.Plans, Ref[1]);
-  EXPECT_EQ(RDot.Generation, 1u);
-  EXPECT_GT(Service.stats().QuantizedBatches.load(), 0u);
-}

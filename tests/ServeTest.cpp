@@ -604,6 +604,44 @@ TEST(AnnotationService, LoadedModelServesIdenticalAnnotations) {
   }
 }
 
+TEST(AnnotationService, ExistingServiceAnswersFromLaterTrainAndLoad) {
+  // A service built by NeuroVectorizer::service() borrows the facade's
+  // embedder and policy, so after train() or load() it must answer from
+  // the new weights, not from plans cached under the old ones.
+  const std::vector<AnnotationRequest> Requests = generatedRequests(12);
+  auto ExpectSamePlans = [&](const std::vector<AnnotationResult> &A,
+                             const std::vector<AnnotationResult> &B) {
+    ASSERT_EQ(A.size(), Requests.size());
+    ASSERT_EQ(B.size(), Requests.size());
+    for (size_t I = 0; I < Requests.size(); ++I) {
+      ASSERT_TRUE(A[I].Ok && B[I].Ok) << Requests[I].Name;
+      EXPECT_EQ(A[I].Plans, B[I].Plans) << Requests[I].Name;
+    }
+  };
+  ServeConfig Serve;
+  Serve.Threads = 2;
+
+  NeuroVectorizer NV(testConfig(/*Seed=*/22));
+  ASSERT_TRUE(NV.addTrainingProgram("dot", DotProduct));
+  NV.train(128);
+  NV.service(Serve).annotateBatch(Requests); // Warm the plan cache.
+  NeuroVectorizer Mirror(testConfig(/*Seed=*/22)); // Same run, never served.
+  ASSERT_TRUE(Mirror.addTrainingProgram("dot", DotProduct));
+  Mirror.train(128);
+  NV.train(128);
+  Mirror.train(128);
+  ExpectSamePlans(NV.annotateBatch(Requests), Mirror.annotateBatch(Requests));
+
+  TempModel File("serve_load_into_service.nvm");
+  ASSERT_TRUE(Mirror.save(File.Path));
+  NeuroVectorizer Fresh(testConfig(/*Seed=*/23));
+  Fresh.service(Serve).annotateBatch(Requests); // Untrained weights' plans.
+  std::string Error;
+  ASSERT_TRUE(Fresh.load(File.Path, &Error)) << Error;
+  ExpectSamePlans(Fresh.annotateBatch(Requests),
+                  Mirror.annotateBatch(Requests));
+}
+
 TEST(AnnotationService, PerRequestMethodOverrideSelectsBackend) {
   NeuroVectorizer NV(testConfig());
   ASSERT_TRUE(NV.addTrainingProgram("dot", DotProduct));
@@ -751,111 +789,3 @@ TEST(AnnotationService, RandomBackendIsServedButNeverCached) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Int8 quantized serving (docs/quantization.md): plan-level equivalence
-//===----------------------------------------------------------------------===//
-
-TEST(Quantization, ServedPlansMatchFp32) {
-  // The acceptance bar for the int8 path: on the eval-suite programs a
-  // quantized service must pick the same plans as fp32 serving — the
-  // quantization error stays below the policy's argmax margins.
-  NeuroVectorizer NV(testConfig(/*Seed=*/21));
-  ASSERT_TRUE(NV.addTrainingProgram("dot", DotProduct));
-  NV.train(256);
-
-  const std::vector<AnnotationRequest> Requests = generatedRequests(24);
-  ServeConfig Fp32;
-  Fp32.Threads = 2;
-  NV.service(Fp32);
-  const std::vector<AnnotationResult> Ref = NV.annotateBatch(Requests);
-
-  ServeConfig Int8 = Fp32;
-  Int8.Quantized = true;
-  AnnotationService &Service = NV.service(Int8);
-  EXPECT_TRUE(NV.embedder().isQuantized());
-  EXPECT_TRUE(NV.policy().isQuantized());
-  const std::vector<AnnotationResult> Quant = NV.annotateBatch(Requests);
-
-  ASSERT_EQ(Ref.size(), Quant.size());
-  for (size_t I = 0; I < Ref.size(); ++I) {
-    ASSERT_TRUE(Ref[I].Ok && Quant[I].Ok) << Requests[I].Name;
-    EXPECT_EQ(Ref[I].Plans, Quant[I].Plans) << Requests[I].Name;
-    EXPECT_EQ(Ref[I].Annotated, Quant[I].Annotated) << Requests[I].Name;
-  }
-  EXPECT_GT(Service.stats().QuantizedBatches.load(), 0u);
-
-  // Dropping back to an fp32 service clears the shadows again.
-  NV.service(Fp32);
-  EXPECT_FALSE(NV.embedder().isQuantized());
-  EXPECT_FALSE(NV.policy().isQuantized());
-}
-
-TEST(Quantization, TrainingDropsShadowsAndRebuildsOnExit) {
-  // Rollout sampling is an inference-shaped forward; if the int8 shadows
-  // answered it, training would see quantized features. The owner drops
-  // them for the duration of train() and re-quantizes from the updated
-  // weights on exit — so serving after more training still matches a
-  // from-scratch fp32 reference on the same weights.
-  NeuroVectorizer NV(testConfig(/*Seed=*/22));
-  ASSERT_TRUE(NV.addTrainingProgram("dot", DotProduct));
-  NV.train(128);
-
-  ServeConfig Int8;
-  Int8.Threads = 2;
-  Int8.Quantized = true;
-  NV.service(Int8);
-  EXPECT_TRUE(NV.policy().isQuantized());
-
-  // Mirror run: identical seeds/steps, never quantized.
-  NeuroVectorizer Mirror(testConfig(/*Seed=*/22));
-  ASSERT_TRUE(Mirror.addTrainingProgram("dot", DotProduct));
-  Mirror.train(128);
-
-  NV.train(128);
-  Mirror.train(128);
-  // Shadows were rebuilt from the post-training weights.
-  EXPECT_TRUE(NV.embedder().isQuantized());
-  EXPECT_TRUE(NV.policy().isQuantized());
-
-  const std::vector<AnnotationRequest> Requests = generatedRequests(12);
-  const std::vector<AnnotationResult> A = NV.annotateBatch(Requests);
-  const std::vector<AnnotationResult> B = Mirror.annotateBatch(Requests);
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    ASSERT_TRUE(A[I].Ok && B[I].Ok);
-    EXPECT_EQ(A[I].Plans, B[I].Plans) << Requests[I].Name;
-  }
-}
-
-TEST(Quantization, LoadRebuildsShadowsFromLoadedWeights) {
-  TempModel File("serve_quant_load.nvm");
-  NeuroVectorizer Trained(testConfig(/*Seed=*/23));
-  ASSERT_TRUE(Trained.addTrainingProgram("dot", DotProduct));
-  Trained.train(256);
-  ASSERT_TRUE(Trained.save(File.Path));
-
-  // Quantized reference over the trained weights. Because the int8 path
-  // is bit-exact (integer accumulation), a second quantized instance
-  // serving the *same* weights must agree plan-for-plan — so any
-  // disagreement below means the loaded instance is serving shadows of
-  // the wrong (pre-load random init) weights.
-  ServeConfig Int8;
-  Int8.Threads = 2;
-  Int8.Quantized = true;
-  Trained.service(Int8);
-  const std::vector<AnnotationRequest> Requests = generatedRequests(12);
-  const std::vector<AnnotationResult> Ref = Trained.annotateBatch(Requests);
-
-  NeuroVectorizer Fresh(testConfig(/*Seed=*/24));
-  Fresh.service(Int8);
-  std::string Error;
-  ASSERT_TRUE(Fresh.load(File.Path, &Error)) << Error;
-  EXPECT_TRUE(Fresh.policy().isQuantized());
-  EXPECT_TRUE(Fresh.embedder().isQuantized());
-  const std::vector<AnnotationResult> Loaded = Fresh.annotateBatch(Requests);
-  for (size_t I = 0; I < Requests.size(); ++I) {
-    ASSERT_TRUE(Ref[I].Ok && Loaded[I].Ok);
-    EXPECT_EQ(Ref[I].Plans, Loaded[I].Plans) << Requests[I].Name;
-    EXPECT_EQ(Ref[I].Annotated, Loaded[I].Annotated) << Requests[I].Name;
-  }
-}
