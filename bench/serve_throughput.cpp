@@ -19,9 +19,11 @@
 
 #include "bench/BenchUtil.h"
 #include "support/Table.h"
+#include "support/Telemetry.h"
 
 #include <chrono>
 #include <iostream>
+#include <iterator>
 
 using namespace nv;
 
@@ -31,6 +33,11 @@ double millisSince(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
              std::chrono::steady_clock::now() - Start)
       .count();
+}
+
+/// Sum of the samples a serve.* phase histogram has recorded (us).
+uint64_t phaseSum(const char *Histogram) {
+  return Telemetry::metrics().histogram(Histogram).snapshot().sum();
 }
 
 } // namespace
@@ -74,11 +81,22 @@ int main() {
            Requests.size() * 1000.0 / LoopMs);
 
   // --- Batched service at several pool sizes ------------------------------
+  // Phase split of the 8-thread service (cold + warm pass combined): how
+  // far each phase histogram's sum grows over its two passes.
+  const std::pair<const char *, const char *> Phases[] = {
+      {"serve.extract_us", "phase_extract_micros"},
+      {"serve.infer_us", "phase_infer_micros"},
+      {"serve.render_us", "phase_render_micros"},
+      {"serve.batch_us", "phase_total_micros"}};
+  uint64_t PhaseBefore[std::size(Phases)] = {};
   double PooledMs4 = 0.0;
   for (int Threads : {1, 4, 8}) {
     ServeConfig Serve;
     Serve.Threads = Threads;
     AnnotationService &Service = NV->service(Serve); // Fresh cache.
+    if (Threads == 8)
+      for (size_t P = 0; P < std::size(Phases); ++P)
+        PhaseBefore[P] = phaseSum(Phases[P].first);
     const auto Start = std::chrono::steady_clock::now();
     std::vector<AnnotationResult> Results = Service.annotateBatch(Requests);
     const double Ms = millisSince(Start);
@@ -108,18 +126,13 @@ int main() {
                 Table::fmt(LoopMs / WarmMs) + "x"});
       Json.add("warm_cache_programs_per_sec",
                Requests.size() * 1000.0 / WarmMs);
-      std::cout << "\nservice counters (8-thread service, both passes):\n";
-      Service.stats().print(std::cout);
+      std::cout << "\nserving counters (every service in this run):\n";
+      Telemetry::metrics().counterTable().print(std::cout);
       std::cout << "\n";
-      // Phase split of the 8-thread service (cold + warm pass combined).
-      Json.add("phase_extract_micros",
-               static_cast<double>(Service.stats().ExtractMicros.load()));
-      Json.add("phase_infer_micros",
-               static_cast<double>(Service.stats().InferMicros.load()));
-      Json.add("phase_render_micros",
-               static_cast<double>(Service.stats().RenderMicros.load()));
-      Json.add("phase_total_micros",
-               static_cast<double>(Service.stats().TotalMicros.load()));
+      for (size_t P = 0; P < std::size(Phases); ++P)
+        Json.add(Phases[P].second,
+                 static_cast<double>(phaseSum(Phases[P].first) -
+                                     PhaseBefore[P]));
     }
   }
 

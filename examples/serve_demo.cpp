@@ -114,23 +114,35 @@ int main() {
   for (const AnnotationResult &Res : Service.annotateBatch(Batch))
     Served += Res.Ok;
   std::cout << "\nannotated " << Served << "/" << Batch.size()
-            << " programs across 4 backends\n\nservice counters:\n";
-  Service.stats().print(std::cout);
+            << " programs across 4 backends\n\nserving counters:\n";
+  MetricsRegistry &Metrics = Telemetry::metrics();
+  Metrics.counterTable().print(std::cout);
 
-  // The cold-path front-end split (also rows of the table above): these
-  // are cumulative worker-thread microseconds, so a regression in the
-  // parser or the path-context extractor is visible here even when pool
-  // parallelism hides it from the wall-clock phase times. One coherent
-  // snapshot feeds every field.
-  const ServeSnapshot S = Service.stats().snapshot();
+  // The plan-cache hit rate, derived from the counters: lookups answered
+  // without a fresh forward row (cache + in-batch dedup) over all lookups.
+  const double Hits =
+      static_cast<double>(Metrics.counter("serve.cache_hits").value() +
+                          Metrics.counter("serve.dedup_hits").value());
+  const double Lookups =
+      Hits + static_cast<double>(Metrics.counter("serve.cache_misses").value());
+  std::cout << "plan-cache hit rate: "
+            << Table::fmt(Lookups == 0 ? 0.0 : Hits / Lookups, 3) << "\n";
+
+  // The cold-path front-end split: the per-request phase histograms sum
+  // worker-thread microseconds, so a regression in the parser or the
+  // path-context extractor is visible here even when pool parallelism
+  // hides it from the wall-clock phase times.
+  auto SumMs = [&Metrics](const char *Name) {
+    return Table::fmt(Metrics.histogram(Name).snapshot().sum() / 1e3);
+  };
   std::cout << "\ncold-path front-end (cumulative worker cpu): parse "
-            << Table::fmt(S.ParseMicros / 1e3) << " ms, loop extract "
-            << Table::fmt(S.LoopExtractMicros / 1e3) << " ms, contexts+keys "
-            << Table::fmt(S.ContextMicros / 1e3) << " ms, embed "
-            << Table::fmt(S.EmbedMicros / 1e3) << " ms\n";
+            << SumMs("serve.parse_us") << " ms, loop extract "
+            << SumMs("serve.loop_extract_us") << " ms, contexts+keys "
+            << SumMs("serve.contexts_us") << " ms, embed "
+            << SumMs("serve.embed_us") << " ms\n";
 
   // Per-phase latency distributions from the process-wide registry: the
-  // p50/p99 view the flat counters above cannot give.
+  // p50/p99 view the sums above cannot give.
   std::cout << "\nper-phase latency distributions (serve.* histograms):\n";
   Telemetry::metrics().histogramTable().print(std::cout);
 

@@ -4,6 +4,7 @@
 
 #include "lang/Lexer.h"
 #include "support/StringUtils.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <cassert>
@@ -65,6 +66,12 @@ void Parser::fail(const std::string &Message) {
 bool Parser::tooDeep() {
   if (Peak <= MaxNestingDepth)
     return false;
+  // Counted once per program the bound rejects: the first error wins.
+  if (!Failed) {
+    static Counter &NestingRejected =
+        Telemetry::metrics().counter("lang.nesting_rejected");
+    NestingRejected.add();
+  }
   fail("nesting too deep (more than " + std::to_string(MaxNestingDepth) +
        " levels) at line " + std::to_string(peek().Line));
   return true;

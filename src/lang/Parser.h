@@ -53,7 +53,8 @@ private:
   /// height of the AST. The passes after parsing (extraction, lowering,
   /// printing, destruction) recurse over that tree, and the daemon parses
   /// client text: without the bound one deeply nested program overflows
-  /// a thread's stack. Deeper input is a "nesting too deep" error.
+  /// a thread's stack. Deeper input is a "nesting too deep" error,
+  /// counted in the registry counter lang.nesting_rejected.
   static constexpr int MaxNestingDepth = 256;
   class NestingLevel;
   /// Fails (and returns true) once Peak exceeds MaxNestingDepth.

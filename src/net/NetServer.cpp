@@ -380,7 +380,6 @@ void NetServer::runReload(const ConnPtr &Conn, std::string Path) {
 }
 
 std::string NetServer::buildStatszJson() {
-  const ServeSnapshot S = Service.stats().snapshot();
   const NetServerCounters C = counters();
 
   JsonLine Server;
@@ -395,31 +394,6 @@ std::string NetServer::buildStatszJson() {
       .field("in_flight_requests",
              static_cast<uint64_t>(InFlightRequests.load()))
       .field("in_flight_bytes", static_cast<uint64_t>(InFlightBytes.load()));
-
-  std::string Methods = "[";
-  bool First = true;
-  for (int M = 0; M < NumPredictMethods; ++M) {
-    const MethodCountersView &MC = S.PerMethod[M];
-    if (MC.Loops == 0)
-      continue;
-    JsonLine Row;
-    Row.field("method", methodName(static_cast<PredictMethod>(M)))
-        .field("loops", MC.Loops)
-        .field("cache_hits", MC.CacheHits)
-        .field("dedup_hits", MC.DedupHits)
-        .field("misses", MC.Misses)
-        .field("predict_us", MC.PredictMicros);
-    if (!First)
-      Methods += ",";
-    Methods += Row.str();
-    First = false;
-  }
-  Methods += "]";
-
-  JsonLine AccessClasses;
-  for (int AC = 0; AC < NumAccessClasses; ++AC)
-    AccessClasses.field(accessClassName(static_cast<AccessClass>(AC)),
-                        S.AccessClasses[AC]);
 
   std::string Breakers = "[";
   for (int M = 0; M < NumPredictMethods; ++M) {
@@ -436,31 +410,13 @@ std::string NetServer::buildStatszJson() {
   }
   Breakers += "]";
 
-  JsonLine Serve;
-  Serve.field("batches", S.BatchesServed)
-      .field("programs", S.ProgramsServed)
-      .field("rejected", S.ProgramsRejected)
-      .field("degraded_requests", S.DegradedRequests)
-      .field("predict_failures", S.PredictFailures)
-      .field("loops", S.LoopsServed)
-      .field("cache_hits", S.CacheHits)
-      .field("dedup_hits", S.DedupHits)
-      .field("cache_misses", S.CacheMisses)
-      .field("forward_passes", S.ForwardPasses)
-      .field("kernel_isa", kernelIsaName(kernelIsa()))
-      .field("hit_rate", S.hitRate())
-      .field("throughput", S.throughput())
-      .field("loops_analyzed", S.LoopsAnalyzed)
-      .field("plans_clamped", S.PlansClamped)
-      .field("legality_us", S.LegalityMicros)
-      .raw("access_classes", AccessClasses.str())
-      .raw("methods", Methods)
-      .raw("breakers", Breakers);
-
+  // Every serving count is a registry counter under telemetry; the rest
+  // of the document is status that is not a metric.
   JsonLine Root;
   Root.field("generation", Host.generation())
       .raw("server", Server.str())
-      .raw("serve", Serve.str())
+      .field("kernel_isa", kernelIsaName(kernelIsa()))
+      .raw("breakers", Breakers)
       .raw("telemetry", Telemetry::snapshotJson());
   // Armed fault points show their hit/fired counts so a chaos run can
   // verify its faults actually exercised the paths under test.

@@ -16,8 +16,9 @@
 ///
 /// Verbs: ping (liveness, empty bodies), annotate (a batch of programs,
 /// each with an optional PredictMethod override, plus a relative
-/// deadline), statsz (returns the full telemetry snapshot + per-method
-/// serving tables + the live model generation as one JSON document), and
+/// deadline), statsz (returns the live model generation, server and
+/// breaker status, and the full telemetry snapshot, whose counters hold
+/// every serving count, as one JSON document), and
 /// reload (hot-swaps the serving model to a v3 model file, zero
 /// downtime; the response carries the new generation).
 ///

@@ -7,17 +7,72 @@
 #include "lang/LoopExtractor.h"
 #include "lang/Parser.h"
 #include "lang/PrettyPrinter.h"
-#include "predictors/Backends.h"
 #include "rl/StateFeatures.h"
 #include "serve/ModelHost.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 
+#include <array>
 #include <cassert>
+#include <iterator>
 
 using namespace nv;
 
 namespace {
+
+/// The serve.* counters, as indices into a batch tally: the global
+/// counts, one per access class, then one block of MethodField counts
+/// per predict method. The global cache hit / dedup hit / miss counts
+/// are the sums of the per-method ones, so only the latter are tallied.
+enum ServeCounter : size_t {
+  ProgramsServed,
+  ProgramsRejected,
+  LoopsServed,
+  DegradedRequests,
+  CacheHits,
+  DedupHits,
+  CacheMisses,
+  ForwardPasses,
+  ForwardRows,
+  PredictFailures,
+  LoopsAnalyzed,
+  PlansClamped,
+  AccessBase,
+  MethodBase = AccessBase + NumAccessClasses,
+};
+
+const char *const GlobalCounterNames[] = {
+    "programs_served", "programs_rejected", "loops_served",
+    "degraded_requests", "cache_hits", "dedup_hits",
+    "cache_misses", "forward_passes", "forward_rows",
+    "predict_failures", "loops_analyzed", "plans_clamped"};
+static_assert(std::size(GlobalCounterNames) == AccessBase,
+              "one name per global serve counter");
+
+enum MethodField : size_t {
+  MethodLoops,
+  MethodCacheHits,
+  MethodDedupHits,
+  MethodMisses,
+  MethodPredictUs,
+  NumMethodFields,
+};
+
+const char *const MethodFieldNames[] = {"loops", "cache_hits", "dedup_hits",
+                                        "misses", "predict_us"};
+static_assert(std::size(MethodFieldNames) == NumMethodFields,
+              "one name per per-method serve counter");
+
+constexpr size_t NumServeCounters =
+    MethodBase + NumPredictMethods * NumMethodFields;
+
+size_t methodCounter(PredictMethod M, MethodField F) {
+  return MethodBase + static_cast<size_t>(M) * NumMethodFields + F;
+}
+
+/// Plain counts indexed by ServeCounter, summed serially after the
+/// phases and published in one registry call.
+using Tally = std::array<uint64_t, NumServeCounters>;
 
 /// Rounds \p Value up to the next power of two (min 1).
 size_t roundUpPow2(size_t Value) {
@@ -166,22 +221,6 @@ AnnotationService::AnnotationService(Code2Vec &Embedder,
   initResilience();
 }
 
-AnnotationService::AnnotationService(Code2Vec &Embedder, Policy &Pol,
-                                     const PathContextConfig &Paths,
-                                     const TargetInfo &TI,
-                                     const ServeConfig &Config)
-    : Embedder(&Embedder),
-      OwnedBackends(std::make_unique<PredictorSet>()),
-      Backends(OwnedBackends.get()), Paths(Paths), TI(TI), Config(Config),
-      Pool(Config.Threads),
-      Cache(Config.CacheCapacity, Config.CacheShards),
-      InnerContext(Config.InnerContextOnly) {
-  OwnedBackends->set(PredictMethod::RL,
-                     std::make_unique<PolicyBackend>(Pol, TI));
-  initTelemetry();
-  initResilience();
-}
-
 AnnotationService::AnnotationService(ModelHost &Host,
                                      const PathContextConfig &Paths,
                                      const TargetInfo &TI,
@@ -204,15 +243,31 @@ void AnnotationService::initResilience() {
 }
 
 void AnnotationService::initTelemetry() {
+  MetricsRegistry &M = Telemetry::metrics();
+  Counters.resize(NumServeCounters);
+  for (size_t C = 0; C < AccessBase; ++C)
+    Counters[C] = &M.counter(std::string("serve.") + GlobalCounterNames[C]);
+  for (int C = 0; C < NumAccessClasses; ++C)
+    Counters[AccessBase + C] = &M.counter(
+        std::string("serve.access.") +
+        accessClassName(static_cast<AccessClass>(C)));
+  for (int Method = 0; Method < NumPredictMethods; ++Method) {
+    const PredictMethod PM = static_cast<PredictMethod>(Method);
+    for (size_t F = 0; F < NumMethodFields; ++F)
+      Counters[methodCounter(PM, static_cast<MethodField>(F))] =
+          &M.counter(std::string("serve.method.") + methodName(PM) + "." +
+                     MethodFieldNames[F]);
+  }
   if (!Config.Telemetry)
     return;
-  MetricsRegistry &M = Telemetry::metrics();
-  DegradedCounter = &M.counter("serve.degraded_requests");
   RequestUs = &M.histogram("serve.request_us");
   BatchUs = &M.histogram("serve.batch_us");
+  ExtractUs = &M.histogram("serve.extract_us");
   ParseUs = &M.histogram("serve.parse_us");
   LoopExtractUs = &M.histogram("serve.loop_extract_us");
   ContextsUs = &M.histogram("serve.contexts_us");
+  LegalityUs = &M.histogram("serve.legality_us");
+  InferUs = &M.histogram("serve.infer_us");
   EmbedUs = &M.histogram("serve.embed_us");
   PredictUs = &M.histogram("serve.predict_us");
   RenderUs = &M.histogram("serve.render_us");
@@ -250,6 +305,7 @@ struct WorkItem {
   Predictor *Backend = nullptr; ///< Null after resolution = identity floor.
   bool NeedsSearch = false; ///< Source-kind backend, cache missed.
   bool Degraded = false;    ///< Answered below the requested rung.
+  Tally Counts{}; ///< This item's counts from the parallel phases.
 
   ContextSpan siteContexts(size_t S) const {
     return {ContextData.data() + ContextBegin[S],
@@ -290,11 +346,11 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
   }
   const PredictMethod Default = Config.DefaultMethod;
 
-  // Counters accumulate into a batch-local delta and publish once at the
-  // end (ServeStats::addBatch), so readers never see a half-applied
-  // batch. Trace spans are decided once per batch by the sampling knob;
-  // a null buffer makes every span in this batch free.
-  ServeStats Delta;
+  // Serial phases count into Counts, pool workers into their item's
+  // Counts; the sum is published once at the end, so readers never see a
+  // half-applied batch. Trace spans are decided once per batch by the
+  // sampling knob; a null buffer makes every span in this batch free.
+  Tally Counts{};
   TraceBuffer *TB = nullptr;
   if (Config.Telemetry && Telemetry::trace().shouldSample())
     TB = &Telemetry::trace();
@@ -367,7 +423,6 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
     std::string ParseError;
     std::optional<Program> Parsed = parseSource(Req.Source, &ParseError);
     const uint64_t ParseTime = nowMicros() - ParseStart;
-    Delta.ParseMicros += ParseTime;
     if (ParseUs)
       ParseUs->record(ParseTime);
     if (TB)
@@ -383,7 +438,6 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
     // pretty-print the training-side extractor pays for it.
     Item.Sites = extractLoops(*Item.Prog, /*WithContextText=*/false);
     const uint64_t SitesTime = nowMicros() - SitesStart;
-    Delta.LoopExtractMicros += SitesTime;
     if (LoopExtractUs)
       LoopExtractUs->record(SitesTime);
     if (TB)
@@ -398,7 +452,8 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
       // Identity floor: every rung refused. Serve VF=1/IF=1 for every
       // site — always legal, no model, no embedding, no cache — instead
       // of failing the request. Phase 3 renders it like any other.
-      Delta.forMethod(Item.Method).Loops += Item.Sites.size();
+      Item.Counts[methodCounter(Item.Method, MethodLoops)] +=
+          Item.Sites.size();
       Res.Plans.assign(Item.Sites.size(), VectorPlan{});
       Res.Legality.assign(Item.Sites.size(), LegalityDigest());
       return;
@@ -424,7 +479,6 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
           contextBagKey(Span, InnerOnly, Item.Method));
     }
     const uint64_t ContextTime = nowMicros() - ContextStart;
-    Delta.ContextMicros += ContextTime;
     if (ContextsUs)
       ContextsUs->record(ContextTime);
     if (TB)
@@ -433,12 +487,14 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
     // Sharded-cache lookups, still on the worker thread. Hits restore the
     // legality digest stored with the plan, so only misses pay for the
     // analysis below.
-    MethodCounters &MC = Delta.forMethod(Item.Method);
+    uint64_t &MethodHits =
+        Item.Counts[methodCounter(Item.Method, MethodCacheHits)];
+    Item.Counts[methodCounter(Item.Method, MethodLoops)] +=
+        Item.Sites.size();
     Res.Plans.assign(Item.Sites.size(), VectorPlan{});
     Res.Legality.assign(Item.Sites.size(), LegalityDigest());
     Item.SiteDone.assign(Item.Sites.size(), 0);
     if (Item.Backend->kind() == Predictor::Kind::Source) {
-      MC.Loops += Item.Sites.size();
       // A site plan from a search backend can depend on the whole
       // program (coordinate descent couples sites), so the per-site
       // cache only holds plans of single-site programs.
@@ -448,8 +504,7 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
         if (Cache.lookup(Item.Keys[0], HitPlan, Epoch, &Res.Legality[0])) {
           Res.Plans[0] = HitPlan;
           ++Res.CachedSites;
-          ++Delta.CacheHits;
-          ++MC.CacheHits;
+          ++MethodHits;
           Item.SiteDone[0] = 1;
           Hit = true;
         }
@@ -457,13 +512,11 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
       Item.NeedsSearch = !Hit;
     } else {
       for (size_t S = 0; S < Item.Sites.size(); ++S) {
-        ++MC.Loops;
         VectorPlan Hit;
         if (Cache.lookup(Item.Keys[S], Hit, Epoch, &Res.Legality[S])) {
           Res.Plans[S] = Hit;
           ++Res.CachedSites;
-          ++Delta.CacheHits;
-          ++MC.CacheHits;
+          ++MethodHits;
           Item.SiteDone[S] = 1;
         }
       }
@@ -489,18 +542,20 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
           continue;
         const LegalitySummary Legal = analyzeLegality(Summaries[S], TI);
         Res.Legality[S] = Legal.digest();
-        ++Delta.LoopsAnalyzed;
+        ++Item.Counts[LoopsAnalyzed];
         for (int C = 0; C < NumAccessClasses; ++C)
-          Delta.AccessClasses[C] += Res.Legality[S].ClassCount[C];
+          Item.Counts[AccessBase + C] += Res.Legality[S].ClassCount[C];
       }
       const uint64_t LegalTime = nowMicros() - LegalStart;
-      Delta.LegalityMicros += LegalTime;
+      if (LegalityUs)
+        LegalityUs->record(LegalTime);
       if (TB)
         TB->record("serve.legality", LegalStart, LegalTime, BatchId);
     }
   });
   const uint64_t ExtractTime = nowMicros() - ExtractStart;
-  Delta.ExtractMicros += ExtractTime;
+  if (ExtractUs)
+    ExtractUs->record(ExtractTime);
   if (TB)
     TB->record("serve.extract", ExtractStart, ExtractTime, BatchId);
 
@@ -540,7 +595,6 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
           SourceMisses.push_back(I);
         continue;
       }
-      MethodCounters &MC = Delta.forMethod(Item.Method);
       for (size_t S = 0; S < Item.Sites.size(); ++S) {
         if (Item.SiteDone[S])
           continue;
@@ -550,11 +604,10 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
           MissContexts.push_back(Item.siteContexts(S));
           RowMethods.push_back(Item.Method);
           RowDigests.push_back(Results[I].Legality[S]);
-          ++Delta.CacheMisses;
-          ++MC.Misses;
+          ++Counts[methodCounter(Item.Method, MethodMisses)];
         } else {
-          ++Delta.DedupHits; // Same loop earlier in this batch.
-          ++MC.DedupHits;
+          // Same loop earlier in this batch.
+          ++Counts[methodCounter(Item.Method, MethodDedupHits)];
         }
         Pending.push_back({I, S, It->second});
       }
@@ -570,7 +623,6 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
       const uint64_t EmbedStart = nowMicros();
       E->encodeSpansInto(MissContexts, StatesBuf, &Pool);
       const uint64_t EmbedTime = nowMicros() - EmbedStart;
-      Delta.EmbedMicros += EmbedTime;
       if (EmbedUs)
         EmbedUs->record(EmbedTime);
       if (TB)
@@ -622,26 +674,20 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
           }
         }
         const uint64_t PredictTime = nowMicros() - PredictStart;
-        Delta.forMethod(M).PredictMicros += PredictTime;
+        Counts[methodCounter(M, MethodPredictUs)] += PredictTime;
         if (PredictUs)
           PredictUs->record(PredictTime);
         if (TB)
           TB->record("serve.predict", PredictStart, PredictTime, BatchId);
         CircuitBreaker &Breaker = Breakers[static_cast<size_t>(M)];
         if (Failed || Plans.size() != Rows.size()) {
-          ++Delta.PredictFailures;
+          ++Counts[PredictFailures];
           Breaker.recordFailure(nowMicros());
           return false;
         }
-        if (Config.PredictTimeoutMicros > 0 &&
-            PredictTime > Config.PredictTimeoutMicros)
-          // A late answer is still used — it was merely slow — but it
-          // counts against the breaker so a degrading backend trips out.
-          Breaker.recordFailure(nowMicros());
-        else
-          Breaker.recordSuccess();
-        ++Delta.ForwardPasses;
-        Delta.LoopsPerForward += Rows.size();
+        Breaker.recordSuccess();
+        ++Counts[ForwardPasses];
+        Counts[ForwardRows] += Rows.size();
         for (size_t R = 0; R < Rows.size(); ++R)
           RowPlans[Rows[R]] = Plans[R];
         return true;
@@ -690,7 +736,7 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
         const VectorPlan Legal =
             legalizePlan(RowDigests[Row].MaxSafeVF, RowPlans[Row], TI);
         if (Legal.VF != RowPlans[Row].VF || Legal.IF != RowPlans[Row].IF)
-          ++Delta.PlansClamped;
+          ++Counts[PlansClamped];
         RowPlans[Row] = Legal;
       }
 
@@ -725,7 +771,6 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
     Pool.parallelFor(0, SourceMisses.size(), [&](size_t K) {
       const size_t I = SourceMisses[K];
       WorkItem &Item = Items[I];
-      MethodCounters &MC = Delta.forMethod(Item.Method);
       CircuitBreaker &Breaker = Breakers[static_cast<size_t>(Item.Method)];
       const uint64_t PredictStart = nowMicros();
       bool Failed =
@@ -739,13 +784,13 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
         }
       }
       const uint64_t PredictTime = nowMicros() - PredictStart;
-      MC.PredictMicros += PredictTime;
+      Item.Counts[methodCounter(Item.Method, MethodPredictUs)] += PredictTime;
       if (PredictUs)
         PredictUs->record(PredictTime);
       if (TB)
         TB->record("serve.predict", PredictStart, PredictTime, BatchId);
       if (Failed || Plans.size() != Item.Sites.size()) {
-        ++Delta.PredictFailures;
+        ++Item.Counts[PredictFailures];
         Breaker.recordFailure(nowMicros());
         if (!Config.Fallback) {
           Results[I].Error = std::string("backend '") +
@@ -759,13 +804,8 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
         Results[I].Degraded = true;
         return;
       }
-      if (Config.PredictTimeoutMicros > 0 &&
-          PredictTime > Config.PredictTimeoutMicros)
-        Breaker.recordFailure(nowMicros());
-      else
-        Breaker.recordSuccess();
-      MC.Misses += Plans.size();
-      Delta.CacheMisses += Plans.size();
+      Breaker.recordSuccess();
+      Item.Counts[methodCounter(Item.Method, MethodMisses)] += Plans.size();
       // Search backends explore the simulator's (clamped) plan space, so
       // their plans are normally legal already — the clamp pins the
       // invariant at the serve boundary regardless of backend.
@@ -773,7 +813,7 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
         const VectorPlan Legal = legalizePlan(
             Results[I].Legality[S].MaxSafeVF, Plans[S], TI);
         if (Legal.VF != Plans[S].VF || Legal.IF != Plans[S].IF)
-          ++Delta.PlansClamped;
+          ++Item.Counts[PlansClamped];
         Plans[S] = Legal;
       }
       if (Item.Backend->cacheable() && Plans.size() == 1)
@@ -782,7 +822,8 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
     });
   }
   const uint64_t InferTime = nowMicros() - InferStart;
-  Delta.InferMicros += InferTime;
+  if (InferUs)
+    InferUs->record(InferTime);
   if (TB)
     TB->record("serve.infer", InferStart, InferTime, BatchId);
 
@@ -800,33 +841,34 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
     Res.Ok = true;
   });
   const uint64_t RenderTime = nowMicros() - RenderStart;
-  Delta.RenderMicros += RenderTime;
   if (RenderUs)
     RenderUs->record(RenderTime);
   if (TB)
     TB->record("serve.render", RenderStart, RenderTime, BatchId);
 
   // --- Bookkeeping ---------------------------------------------------------
-  ++Delta.BatchesServed;
-  uint64_t DegradedCount = 0;
-  for (const AnnotationResult &Res : Results) {
+  for (size_t I = 0; I < N; ++I) {
+    const AnnotationResult &Res = Results[I];
     if (Res.Ok) {
-      ++Delta.ProgramsServed;
-      Delta.LoopsServed += Res.Plans.size();
-      if (Res.Degraded)
-        ++DegradedCount;
+      ++Counts[ProgramsServed];
+      Counts[LoopsServed] += Res.Plans.size();
+      Counts[DegradedRequests] += Res.Degraded;
     } else {
-      ++Delta.ProgramsRejected;
+      ++Counts[ProgramsRejected];
     }
+    for (size_t C = 0; C < NumServeCounters; ++C)
+      Counts[C] += Items[I].Counts[C];
   }
-  Delta.DegradedRequests += DegradedCount;
-  if (DegradedCounter && DegradedCount)
-    DegradedCounter->add(DegradedCount);
+  for (int Method = 0; Method < NumPredictMethods; ++Method) {
+    const PredictMethod PM = static_cast<PredictMethod>(Method);
+    Counts[CacheHits] += Counts[methodCounter(PM, MethodCacheHits)];
+    Counts[DedupHits] += Counts[methodCounter(PM, MethodDedupHits)];
+    Counts[CacheMisses] += Counts[methodCounter(PM, MethodMisses)];
+  }
+  // Publish the whole batch at once; statsz sees it all-or-nothing.
+  Telemetry::metrics().publish(Counters.data(), Counts.data(),
+                               NumServeCounters);
   const uint64_t BatchTime = nowMicros() - BatchStart;
-  Delta.TotalMicros += BatchTime;
-  // Publish the whole batch at once; snapshot() readers see it
-  // all-or-nothing.
-  Stats.addBatch(Delta);
   if (BatchUs) {
     BatchUs->record(BatchTime);
     // Per-request end-to-end latency: every request in a batch waits out

@@ -41,7 +41,7 @@
 /// ServeConfig::Fallback is on, the request walks down RL → decision
 /// tree → baseline cost model → identity plans instead of erroring, and
 /// the result is flagged Degraded. Each backend has a CircuitBreaker fed
-/// by predict failures/timeouts, so a broken backend is skipped at
+/// by predict failures, so a broken backend is skipped at
 /// resolution time instead of failing every request for a cooldown. An
 /// *unregistered* method stays a hard error (that is a configuration
 /// bug, not a transient fault).
@@ -56,6 +56,12 @@
 /// size, and phases 1/3 are pure per-item work — so the pool size never
 /// changes the output, only the wall clock.
 ///
+/// Counting: every serving count is a serve.* counter in the process-wide
+/// telemetry registry (support/Telemetry.h). Each work item keeps plain
+/// counts, and the finished batch publishes them in one
+/// MetricsRegistry::publish call, so a statsz snapshot sees a batch
+/// all-or-nothing. Phase times are serve.*_us histograms.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NV_SERVE_ANNOTATIONSERVICE_H
@@ -64,9 +70,7 @@
 #include "embedding/Code2Vec.h"
 #include "ir/Legality.h"
 #include "predictors/Predictor.h"
-#include "rl/Policy.h"
 #include "serve/CircuitBreaker.h"
-#include "serve/ServeStats.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
 #include "target/TargetInfo.h"
@@ -115,6 +119,7 @@ struct ServeConfig {
   /// into the process-wide telemetry (support/Telemetry.h). Histogram
   /// recording is a few relaxed atomic adds per phase; spans cost
   /// nothing until Telemetry::trace().setSampleEvery() enables them.
+  /// The serve.* counters are published either way.
   bool Telemetry = true;
   /// Degradation ladder: when the requested backend is unavailable
   /// (unfitted, circuit-broken, or failing mid-predict), answer from the
@@ -127,9 +132,6 @@ struct ServeConfig {
   /// How long a tripped breaker refuses the backend before letting
   /// probe requests through again.
   uint64_t BreakerCooldownMicros = 5'000'000;
-  /// When > 0, a predict call slower than this counts as a breaker
-  /// failure (the result is still used — it was merely late). 0 = off.
-  uint64_t PredictTimeoutMicros = 0;
 };
 
 /// One program to annotate.
@@ -275,12 +277,6 @@ public:
                     const PathContextConfig &Paths, const TargetInfo &TI,
                     const ServeConfig &Config = ServeConfig());
 
-  /// RL-only convenience: builds an internal single-backend registry over
-  /// \p Pol (the pre-multi-backend construction signature).
-  AnnotationService(Code2Vec &Embedder, Policy &Pol,
-                    const PathContextConfig &Paths, const TargetInfo &TI,
-                    const ServeConfig &Config = ServeConfig());
-
   /// Hosted-model construction (the network daemon's mode): instead of
   /// borrowing a fixed embedder/backend set, the service acquires
   /// \p Host's *current* model generation at the start of every batch —
@@ -321,9 +317,6 @@ public:
   /// The host resolved per batch (null in borrowed-model mode).
   ModelHost *host() const { return Host; }
 
-  const ServeStats &stats() const { return Stats; }
-  void resetStats() { Stats.reset(); }
-
   size_t cacheSize() const { return Cache.size(); }
   void clearCache() { Cache.clear(); }
 
@@ -343,7 +336,6 @@ public:
 private:
   ModelHost *Host = nullptr; ///< Hosted mode: model acquired per batch.
   Code2Vec *Embedder;        ///< Borrowed mode (null when hosted).
-  std::unique_ptr<PredictorSet> OwnedBackends; ///< RL-only ctor storage.
   PredictorSet *Backends; ///< Borrowed mode (null when hosted).
   PathContextConfig Paths;
   TargetInfo TI;
@@ -351,23 +343,28 @@ private:
 
   ThreadPool Pool;
   PlanCache Cache;
-  ServeStats Stats;
   std::atomic<bool> InnerContext;
   std::mutex ModelMutex; ///< Serializes phase-2 use of the shared model.
   Matrix StatesBuf; ///< Reused encode output (guarded by ModelMutex).
 
-  /// Telemetry handles, resolved once at construction (all null when
-  /// Config.Telemetry is false): per-phase latency histograms in the
-  /// process-wide registry. Recording through them is lock-free.
+  /// The serve.* counters, resolved once at construction whatever
+  /// Config.Telemetry says, in the order of the batch tally that
+  /// annotateBatch publishes (see AnnotationService.cpp).
+  std::vector<Counter *> Counters;
+  /// Per-phase latency histograms in the process-wide registry, resolved
+  /// once at construction (all null when Config.Telemetry is false).
+  /// Recording through them is lock-free.
   ShardedHistogram *RequestUs = nullptr;     ///< serve.request_us
   ShardedHistogram *BatchUs = nullptr;       ///< serve.batch_us
+  ShardedHistogram *ExtractUs = nullptr;     ///< serve.extract_us
   ShardedHistogram *ParseUs = nullptr;       ///< serve.parse_us
   ShardedHistogram *LoopExtractUs = nullptr; ///< serve.loop_extract_us
   ShardedHistogram *ContextsUs = nullptr;    ///< serve.contexts_us
+  ShardedHistogram *LegalityUs = nullptr;    ///< serve.legality_us
+  ShardedHistogram *InferUs = nullptr;       ///< serve.infer_us
   ShardedHistogram *EmbedUs = nullptr;       ///< serve.embed_us
   ShardedHistogram *PredictUs = nullptr;     ///< serve.predict_us
   ShardedHistogram *RenderUs = nullptr;      ///< serve.render_us
-  Counter *DegradedCounter = nullptr; ///< serve.degraded_requests
   std::atomic<uint64_t> NextBatchId{1}; ///< Trace-span correlation ids.
 
   /// One breaker per backend, parameterized from Config at construction.
@@ -376,8 +373,8 @@ private:
   /// forces a backend to fail without touching the model).
   fault::FaultPoint *PredictFault[NumPredictMethods] = {};
 
-  /// Resolves the histogram pointers above and attaches the pool's
-  /// queue metrics; no-op when Config.Telemetry is false.
+  /// Resolves the serve.* counters; when Config.Telemetry is on, also
+  /// the histogram pointers above and the pool's queue metrics.
   void initTelemetry();
 
   /// Parameterizes the per-backend circuit breakers from Config and

@@ -139,6 +139,14 @@ ShardedHistogram &MetricsRegistry::histogram(const std::string &Name) {
   return *Slot;
 }
 
+void MetricsRegistry::publish(Counter *const *Targets, const uint64_t *Deltas,
+                              size_t N) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  for (size_t I = 0; I < N; ++I)
+    if (Deltas[I] != 0)
+      Targets[I]->add(Deltas[I]);
+}
+
 namespace {
 
 /// The per-histogram JSON object (all durations in microseconds).
@@ -174,6 +182,15 @@ std::string MetricsRegistry::snapshotJson() const {
       .raw("gauges", GaugesJson.str())
       .raw("histograms", HistogramsJson.str())
       .str();
+}
+
+Table MetricsRegistry::counterTable() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Table T({"counter", "value"});
+  for (const auto &[Name, C] : Counters)
+    if (C->value() != 0)
+      T.addRow({Name, std::to_string(C->value())});
+  return T;
 }
 
 Table MetricsRegistry::histogramTable() const {

@@ -13,9 +13,11 @@
 /// Registration (counter()/gauge()/histogram()) takes a mutex and is
 /// meant for setup paths; instrumented hot paths resolve their metric
 /// once and keep the pointer — recording itself is lock-free (relaxed
-/// atomics). Everything is dumpable as one JSON document
-/// (Telemetry::snapshotJson()), the payload a future /statsz endpoint
-/// serves, with exact p50/p90/p99/p99.9 per histogram.
+/// atomics). A group of counters that must move together (one served
+/// batch) goes through publish(), which snapshotJson() sees whole or not
+/// at all. Everything is dumpable as one JSON document
+/// (Telemetry::snapshotJson()), the payload of the daemon's statsz, with
+/// exact p50/p90/p99/p99.9 per histogram.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -107,12 +109,20 @@ public:
   Gauge &gauge(const std::string &Name);
   ShardedHistogram &histogram(const std::string &Name);
 
+  /// Adds Deltas[I] to *Targets[I] for each of the \p N counters in one
+  /// step: it holds the lock snapshotJson() reads the counters under, so
+  /// a snapshot sees every increment of one call or none of them.
+  void publish(Counter *const *Targets, const uint64_t *Deltas, size_t N);
+
   /// The full registry as one JSON object:
   /// {"counters": {...}, "gauges": {...}, "histograms": {name:
   /// {"count","sum_us","min_us","max_us","mean_us","p50_us","p90_us",
   /// "p99_us","p999_us"}, ...}}. Keys are sorted (std::map), so the
   /// document is deterministic for a quiesced registry.
   std::string snapshotJson() const;
+
+  /// One row per nonzero counter: name, value.
+  Table counterTable() const;
 
   /// One row per histogram: count, mean/p50/p90/p99/p99.9/max in ms.
   Table histogramTable() const;
@@ -137,8 +147,8 @@ public:
   static MetricsRegistry &metrics();
   static TraceBuffer &trace();
 
-  /// The /statsz payload: metrics plus trace-buffer status, one JSON
-  /// document.
+  /// The `telemetry` section of the daemon's statsz: metrics plus
+  /// trace-buffer status, one JSON document.
   static std::string snapshotJson();
 };
 

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestCounters.h"
 #include "core/NeuroVectorizer.h"
 #include "dataset/LoopGenerator.h"
 #include "embedding/ContextBuffer.h"
@@ -444,7 +445,13 @@ TEST(ColdPath, ServePlansMatchReferencePipelineAcrossThreads) {
       ServeConfig Serve;
       Serve.Threads = Threads;
       Serve.CacheShards = Shards;
-      AnnotationService &Service = NV.service(Serve); // Fresh cache+stats.
+      AnnotationService &Service = NV.service(Serve); // Fresh cache.
+      std::vector<CounterDelta> Deltas;
+      for (const char *Name :
+           {"serve.programs_served", "serve.loops_served", "serve.cache_hits",
+            "serve.dedup_hits", "serve.cache_misses", "serve.forward_passes",
+            "serve.forward_rows"})
+        Deltas.emplace_back(Name);
       const std::vector<AnnotationResult> Results =
           Service.annotateBatch(Requests);
       ASSERT_EQ(Results.size(), Requests.size());
@@ -457,12 +464,9 @@ TEST(ColdPath, ServePlansMatchReferencePipelineAcrossThreads) {
               << Threads << " shards " << Shards;
       }
       // Counter stats (not timings) must not depend on pool or shards.
-      const ServeStats &S = Service.stats();
-      const std::vector<uint64_t> Counters = {
-          S.ProgramsServed.load(), S.LoopsServed.load(),
-          S.CacheHits.load(),      S.DedupHits.load(),
-          S.CacheMisses.load(),    S.ForwardPasses.load(),
-          S.LoopsPerForward.load()};
+      std::vector<uint64_t> Counters;
+      for (const CounterDelta &D : Deltas)
+        Counters.push_back(D());
       if (FirstCounters.empty())
         FirstCounters = Counters;
       else

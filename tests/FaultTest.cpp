@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestCounters.h"
 #include "core/NeuroVectorizer.h"
 #include "net/Client.h"
 #include "net/NetServer.h"
@@ -356,6 +357,9 @@ TEST(AnnotationService, PredictFaultDegradesThenBreakerShortCircuits) {
   Serve.BreakerFailureThreshold = 3;
   AnnotationService &Service = NV.service(Serve);
   FaultScope Scope("serve.predict.rl=1");
+  const CounterDelta PredictFailures("serve.predict_failures");
+  const CounterDelta Degraded("serve.degraded_requests");
+  const CounterDelta Rejected("serve.programs_rejected");
 
   for (int I = 0; I < 3; ++I) {
     const AnnotationResult Res =
@@ -367,7 +371,7 @@ TEST(AnnotationService, PredictFaultDegradesThenBreakerShortCircuits) {
   }
   EXPECT_EQ(Service.breaker(PredictMethod::RL).state(),
             CircuitBreaker::State::Open);
-  EXPECT_EQ(Service.stats().PredictFailures.load(), 3u);
+  EXPECT_EQ(PredictFailures(), 3u);
 
   const AnnotationResult After =
       Service.annotateOne("dot", DotProduct, PredictMethod::RL);
@@ -376,8 +380,8 @@ TEST(AnnotationService, PredictFaultDegradesThenBreakerShortCircuits) {
   EXPECT_EQ(After.Method, PredictMethod::Baseline);
   // The short-circuited request never reached the faulted backend.
   EXPECT_EQ(Service.breaker(PredictMethod::RL).failures(), 3u);
-  EXPECT_EQ(Service.stats().DegradedRequests.load(), 4u);
-  EXPECT_EQ(Service.stats().ProgramsRejected.load(), 0u);
+  EXPECT_EQ(Degraded(), 4u);
+  EXPECT_EQ(Rejected(), 0u);
 }
 
 TEST(AnnotationService, StrictModePredictFaultRejectsInstead) {
@@ -387,13 +391,14 @@ TEST(AnnotationService, StrictModePredictFaultRejectsInstead) {
   Strict.Fallback = false;
   AnnotationService &Service = NV.service(Strict);
   FaultScope Scope("serve.predict.rl=1");
+  const CounterDelta Degraded("serve.degraded_requests");
 
   const AnnotationResult Res =
       Service.annotateOne("dot", DotProduct, PredictMethod::RL);
   EXPECT_FALSE(Res.Ok);
   EXPECT_NE(Res.Error.find("predict failed"), std::string::npos)
       << Res.Error;
-  EXPECT_EQ(Service.stats().DegradedRequests.load(), 0u);
+  EXPECT_EQ(Degraded(), 0u);
 }
 
 // --- Client resilience ---------------------------------------------------
@@ -598,7 +603,7 @@ TEST(Chaos, StatszReportsFaultActivityWhileArmed) {
   // Breaker telemetry is always present; faults only while armed.
   ASSERT_TRUE(Client.statsz(Json, &Error)) << Error;
   EXPECT_NE(Json.find("\"breakers\""), std::string::npos);
-  EXPECT_NE(Json.find("\"degraded_requests\""), std::string::npos);
+  EXPECT_NE(Json.find("\"serve.degraded_requests\""), std::string::npos);
   EXPECT_EQ(Json.find("\"faults\""), std::string::npos) << Json;
 }
 

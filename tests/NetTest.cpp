@@ -1,5 +1,6 @@
 //===- tests/NetTest.cpp - protocol, daemon, hot-reload tests -------------===//
 
+#include "TestCounters.h"
 #include "core/NeuroVectorizer.h"
 #include "dataset/LoopGenerator.h"
 #include "net/Client.h"
@@ -30,6 +31,11 @@ const char *DotProduct =
 const char *Saxpy =
     "float x[256]; float y[256]; void s() { for (int i = 0; i < 256; "
     "i++) { y[i] = y[i] + x[i]; } }";
+
+const char *TwoLoops =
+    "float a[128]; float b[128]; void g() { for (int i = 0; i < 128; i++) "
+    "{ a[i] = a[i] * 2.0; } for (int j = 0; j < 128; j++) { b[j] = b[j] + "
+    "a[j]; } }";
 
 /// Small, fast configuration (matches ServeTest's).
 NeuroVectorizerConfig testConfig(uint64_t Seed = 1234) {
@@ -523,12 +529,16 @@ TEST(NetServer, EndToEndAnnotateStatszReload) {
   EXPECT_EQ(Res.Generation, 1u);
   EXPECT_EQ(Res.Results[0].Plans, RefA[0]);
 
-  // statsz: one JSON document with the generation and server counters.
+  // statsz: one JSON document with the generation, server counters,
+  // status, and the registry holding the serving counts.
   std::string Json;
   ASSERT_TRUE(Client.statsz(Json, &Error)) << Error;
   EXPECT_NE(Json.find("\"generation\": 1"), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"reloads_failed\": 1"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"kernel_isa\""), std::string::npos) << Json;
   EXPECT_NE(Json.find("\"method\": \"rl\""), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"serve.method.rl.loops\""), std::string::npos)
+      << Json;
   EXPECT_NE(Json.find("\"histograms\""), std::string::npos) << Json;
 
   S.Server.shutdown();
@@ -549,6 +559,7 @@ TEST(NetServer, DeeplyNestedProgramIsAParseErrorNotACrash) {
   std::string Error;
   ASSERT_TRUE(Client.connect("127.0.0.1", Port, &Error)) << Error;
 
+  const CounterDelta NestingRejected("lang.nesting_rejected");
   const int N = 20000;
   const std::string Head =
       "float a[64]; void f() { for (int i = 0; i < 64; i++) { a[i] = ";
@@ -572,6 +583,50 @@ TEST(NetServer, DeeplyNestedProgramIsAParseErrorNotACrash) {
   }
   EXPECT_TRUE(Res.Results[2].Ok) << Res.Results[2].Error;
   EXPECT_TRUE(Client.ping(&Error)) << Error;
+  // Each 20k-deep program is one nesting-bound rejection.
+  EXPECT_EQ(NestingRejected(), 2u);
+}
+
+TEST(NetServer, StatszCountsOneAnnotateFrameExactlyOnce) {
+  // Every serving count is one registry counter in statsz: a known
+  // annotate frame moves serve.programs_served and serve.method.rl.loops
+  // by exactly the programs and loops it sent.
+  TestServer S;
+  const uint16_t Port = S.start();
+  ASSERT_NE(Port, 0);
+  NetClient Client;
+  std::string Error;
+  ASSERT_TRUE(Client.connect("127.0.0.1", Port, &Error)) << Error;
+
+  std::string Before, After;
+  ASSERT_TRUE(Client.statsz(Before, &Error)) << Error;
+  net::AnnotateResponseBody Res;
+  WireStatus Status;
+  ASSERT_TRUE(Client.annotate(makeBatch({DotProduct, Saxpy, TwoLoops}), Res,
+                              Status, &Error))
+      << Error;
+  ASSERT_EQ(Status, WireStatus::Ok);
+  uint64_t Loops = 0;
+  for (const net::WireResult &R : Res.Results) {
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_FALSE(R.Degraded);
+    Loops += R.Plans.size();
+  }
+  EXPECT_EQ(Loops, 4u);
+  ASSERT_TRUE(Client.statsz(After, &Error)) << Error;
+
+  EXPECT_EQ(counterIn(After, "serve.programs_served") -
+                counterIn(Before, "serve.programs_served"),
+            3u);
+  EXPECT_EQ(counterIn(After, "serve.method.rl.loops") -
+                counterIn(Before, "serve.method.rl.loops"),
+            Loops);
+  for (const char *Name : {"serve.programs_served", "serve.method.rl.loops"}) {
+    const std::string Key = std::string("\"") + Name + "\"";
+    const size_t First = After.find(Key);
+    ASSERT_NE(First, std::string::npos) << After;
+    EXPECT_EQ(After.find(Key, First + 1), std::string::npos) << Name;
+  }
 }
 
 TEST(NetServer, OverloadedShedsBeforeQueueing) {

@@ -1,5 +1,6 @@
 //===- tests/ServeTest.cpp - serializer, cache, batched service tests ------===//
 
+#include "TestCounters.h"
 #include "core/NeuroVectorizer.h"
 #include "dataset/LoopGenerator.h"
 #include "serve/ModelSerializer.h"
@@ -419,16 +420,18 @@ TEST(AnnotationService, MatchesSingleProgramAnnotate) {
 TEST(AnnotationService, CacheHitsAreCorrectAndCounted) {
   NeuroVectorizer NV(testConfig());
   AnnotationService &Service = NV.service();
+  const CounterDelta Misses("serve.cache_misses");
+  const CounterDelta Hits("serve.cache_hits");
 
   const AnnotationResult First = Service.annotateOne("dot", DotProduct);
   ASSERT_TRUE(First.Ok);
   EXPECT_EQ(First.CachedSites, 0);
-  EXPECT_EQ(Service.stats().CacheMisses.load(), 1u);
+  EXPECT_EQ(Misses(), 1u);
 
   const AnnotationResult Second = Service.annotateOne("dot", DotProduct);
   ASSERT_TRUE(Second.Ok);
   EXPECT_EQ(Second.CachedSites, 1);
-  EXPECT_EQ(Service.stats().CacheHits.load(), 1u);
+  EXPECT_EQ(Hits(), 1u);
   EXPECT_EQ(Second.Annotated, First.Annotated);
   ASSERT_EQ(Second.Plans.size(), First.Plans.size());
   EXPECT_EQ(Second.Plans[0], First.Plans[0]);
@@ -437,16 +440,23 @@ TEST(AnnotationService, CacheHitsAreCorrectAndCounted) {
 TEST(AnnotationService, DeduplicatesIdenticalLoopsWithinBatch) {
   NeuroVectorizer NV(testConfig());
   AnnotationService &Service = NV.service();
+  const CounterDelta ForwardPasses("serve.forward_passes");
+  const CounterDelta ForwardRows("serve.forward_rows");
+  const CounterDelta Misses("serve.cache_misses");
+  const CounterDelta Hits("serve.cache_hits");
+  const CounterDelta DedupHits("serve.dedup_hits");
 
   std::vector<AnnotationRequest> Requests(10, {"dot", DotProduct});
   std::vector<AnnotationResult> Results = Service.annotateBatch(Requests);
   // Ten identical programs, one distinct loop: a single forward row, the
   // other nine sites served by intra-batch dedup.
-  EXPECT_EQ(Service.stats().ForwardPasses.load(), 1u);
-  EXPECT_EQ(Service.stats().LoopsPerForward.load(), 1u);
-  EXPECT_EQ(Service.stats().CacheMisses.load(), 1u);
-  EXPECT_EQ(Service.stats().DedupHits.load(), 9u);
-  EXPECT_GT(Service.stats().hitRate(), 0.85);
+  EXPECT_EQ(ForwardPasses(), 1u);
+  EXPECT_EQ(ForwardRows(), 1u);
+  EXPECT_EQ(Misses(), 1u);
+  EXPECT_EQ(DedupHits(), 9u);
+  // Hit rate: lookups answered without a fresh forward row.
+  const double Answered = static_cast<double>(Hits() + DedupHits());
+  EXPECT_GT(Answered / (Answered + static_cast<double>(Misses())), 0.85);
   for (const AnnotationResult &Res : Results) {
     ASSERT_TRUE(Res.Ok);
     EXPECT_EQ(Res.Annotated, Results.front().Annotated);
@@ -455,6 +465,7 @@ TEST(AnnotationService, DeduplicatesIdenticalLoopsWithinBatch) {
 
 TEST(AnnotationService, RejectsBadProgramsWithoutPoisoningBatch) {
   NeuroVectorizer NV(testConfig());
+  const CounterDelta Rejected("serve.programs_rejected");
   std::vector<AnnotationRequest> Requests = {
       {"good", DotProduct},
       {"broken", "int 3x;"},
@@ -466,7 +477,7 @@ TEST(AnnotationService, RejectsBadProgramsWithoutPoisoningBatch) {
   EXPECT_NE(Results[1].Error.find("parse"), std::string::npos);
   EXPECT_FALSE(Results[2].Ok);
   EXPECT_NE(Results[2].Error.find("no vectorizable"), std::string::npos);
-  EXPECT_EQ(NV.service().stats().ProgramsRejected.load(), 2u);
+  EXPECT_EQ(Rejected(), 2u);
 }
 
 TEST(AnnotationService, PoolSizeNeverChangesResults) {
@@ -512,6 +523,7 @@ TEST(AnnotationService, ConcurrentAnnotateBatchStress) {
   ServeConfig Serve;
   Serve.Threads = 4;
   AnnotationService &Service = NV.service(Serve);
+  const CounterDelta Hits("serve.cache_hits");
 
   constexpr int Clients = 4, Rounds = 8;
   std::atomic<int> Mismatches{0};
@@ -537,7 +549,7 @@ TEST(AnnotationService, ConcurrentAnnotateBatchStress) {
   for (std::thread &T : Threads)
     T.join();
   EXPECT_EQ(Mismatches.load(), 0);
-  EXPECT_GE(Service.stats().CacheHits.load(), 1u);
+  EXPECT_GE(Hits(), 1u);
 }
 
 TEST(AnnotationService, InnerContextModelRoundTripServesEnvSidePlans) {
@@ -648,6 +660,12 @@ TEST(AnnotationService, PerRequestMethodOverrideSelectsBackend) {
   NV.train(128);
   NV.fitSupervised(/*MaxSamples=*/1);
   AnnotationService &Service = NV.service();
+  std::vector<CounterDelta> MethodLoops;
+  for (int M = 0; M < NumPredictMethods; ++M)
+    MethodLoops.emplace_back(std::string("serve.method.") +
+                             methodName(static_cast<PredictMethod>(M)) +
+                             ".loops");
+  const CounterDelta NNSMisses("serve.method.nns.misses");
 
   // One batch, every backend: each request must be answered by exactly
   // the backend it names, matching the facade's single-program path.
@@ -675,13 +693,12 @@ TEST(AnnotationService, PerRequestMethodOverrideSelectsBackend) {
   EXPECT_EQ(Results[4].Annotated, Results[0].Annotated);
 
   // Per-backend counters saw exactly their own traffic.
-  const ServeStats &Stats = Service.stats();
-  EXPECT_EQ(Stats.forMethod(PredictMethod::RL).Loops.load(), 2u);
-  EXPECT_EQ(Stats.forMethod(PredictMethod::NNS).Loops.load(), 1u);
-  EXPECT_EQ(Stats.forMethod(PredictMethod::DecisionTree).Loops.load(), 1u);
-  EXPECT_EQ(Stats.forMethod(PredictMethod::BruteForce).Loops.load(), 1u);
-  EXPECT_EQ(Stats.forMethod(PredictMethod::NNS).Misses.load(), 1u);
-  EXPECT_EQ(Stats.methodTable().numRows(), 4u);
+  std::vector<uint64_t> Loops;
+  for (const CounterDelta &D : MethodLoops)
+    Loops.push_back(D());
+  // Indexed by PredictMethod: baseline, rl, nns, tree, random, brute force.
+  EXPECT_EQ(Loops, (std::vector<uint64_t>{0, 2, 1, 1, 0, 1}));
+  EXPECT_EQ(NNSMisses(), 1u);
 }
 
 TEST(AnnotationService, BackendsNeverAnswerForEachOther) {
@@ -690,6 +707,7 @@ TEST(AnnotationService, BackendsNeverAnswerForEachOther) {
   NV.train(128);
   NV.fitSupervised(/*MaxSamples=*/1);
   AnnotationService &Service = NV.service();
+  const CounterDelta BFHits("serve.method.bruteforce.cache_hits");
 
   // Warm the cache with the RL answer, then ask for brute force: the
   // method is part of the cache key, so the second request must compute
@@ -701,9 +719,7 @@ TEST(AnnotationService, BackendsNeverAnswerForEachOther) {
       Service.annotateOne("dot", DotProduct, PredictMethod::BruteForce);
   ASSERT_TRUE(BF.Ok);
   EXPECT_EQ(BF.CachedSites, 0);
-  EXPECT_EQ(Service.stats().forMethod(PredictMethod::BruteForce)
-                .CacheHits.load(),
-            0u);
+  EXPECT_EQ(BFHits(), 0u);
   // And the brute-force answer itself is cached under its own key.
   const AnnotationResult BF2 =
       Service.annotateOne("dot", DotProduct, PredictMethod::BruteForce);
@@ -718,13 +734,15 @@ TEST(AnnotationService, UnfittedBackendDegradesDownTheLadder) {
   // baseline cost model and succeeds, flagged Degraded.
   NeuroVectorizer NV(testConfig());
   AnnotationService &Service = NV.service();
+  const CounterDelta Degraded("serve.degraded_requests");
+  const CounterDelta Rejected("serve.programs_rejected");
   const AnnotationResult Res =
       Service.annotateOne("dot", DotProduct, PredictMethod::NNS);
   EXPECT_TRUE(Res.Ok) << Res.Error;
   EXPECT_TRUE(Res.Degraded);
   EXPECT_EQ(Res.Method, PredictMethod::Baseline);
-  EXPECT_EQ(Service.stats().DegradedRequests.load(), 1u);
-  EXPECT_EQ(Service.stats().ProgramsRejected.load(), 0u);
+  EXPECT_EQ(Degraded(), 1u);
+  EXPECT_EQ(Rejected(), 0u);
   // A healthy backend answers undegraded.
   const AnnotationResult RL =
       Service.annotateOne("dot", DotProduct, PredictMethod::RL);
@@ -740,11 +758,12 @@ TEST(AnnotationService, UnfittedBackendRejectsPolitelyWhenStrict) {
   ServeConfig Strict;
   Strict.Fallback = false;
   AnnotationService &Service = NV.service(Strict);
+  const CounterDelta Rejected("serve.programs_rejected");
   const AnnotationResult Res =
       Service.annotateOne("dot", DotProduct, PredictMethod::NNS);
   EXPECT_FALSE(Res.Ok);
   EXPECT_NE(Res.Error.find("not fitted"), std::string::npos) << Res.Error;
-  EXPECT_EQ(Service.stats().ProgramsRejected.load(), 1u);
+  EXPECT_EQ(Rejected(), 1u);
   // The rejection must not poison later, valid requests.
   const AnnotationResult RL =
       Service.annotateOne("dot", DotProduct, PredictMethod::RL);
@@ -774,6 +793,7 @@ TEST(AnnotationService, RefittingSupervisedBackendsInvalidatesPlanCache) {
 TEST(AnnotationService, RandomBackendIsServedButNeverCached) {
   NeuroVectorizer NV(testConfig());
   AnnotationService &Service = NV.service();
+  const CounterDelta RandomLoops("serve.method.random.loops");
   const size_t CacheBefore = Service.cacheSize();
   for (int I = 0; I < 4; ++I) {
     const AnnotationResult Res =
@@ -784,8 +804,7 @@ TEST(AnnotationService, RandomBackendIsServedButNeverCached) {
   // Random plans never enter the plan cache (two requests for the same
   // loop are two independent draws).
   EXPECT_EQ(Service.cacheSize(), CacheBefore);
-  EXPECT_EQ(Service.stats().forMethod(PredictMethod::Random).Loops.load(),
-            4u);
+  EXPECT_EQ(RandomLoops(), 4u);
 }
 
 } // namespace

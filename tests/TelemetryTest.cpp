@@ -3,14 +3,14 @@
 // Covers the observability layer: the log-bucketed histogram's pinned
 // bucket layout and percentile contract, shard-merge equivalence and
 // concurrent-recorder totals, the trace ring (nesting, wrap without
-// tearing, chrome://tracing export), the JSON emitters, the coherent
-// ServeStats snapshot, and the end-to-end serve wiring.
+// tearing, chrome://tracing export), the JSON emitters, all-or-nothing
+// counter publication, and the end-to-end serve wiring.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestCounters.h"
 #include "core/NeuroVectorizer.h"
 #include "dataset/LoopGenerator.h"
-#include "serve/ServeStats.h"
 #include "support/RNG.h"
 #include "support/Telemetry.h"
 
@@ -506,35 +506,40 @@ TEST(Telemetry, RunLogWritesParseableLines) {
   Disabled.write(JsonLine().field("event", "x")); // No-op, no crash.
 }
 
-// --- ServeStats coherent snapshot -----------------------------------------
+// --- Batch publication -----------------------------------------------------
 
-TEST(ServeStats, SnapshotSeesBatchesAllOrNothing) {
-  // Each published batch keeps fixed ratios between fields; any snapshot
-  // that catches a batch half-applied breaks them.
-  ServeStats Stats;
+TEST(MetricsRegistry, SnapshotSeesPublishesAllOrNothing) {
+  // Each publish keeps fixed ratios between its counters; any snapshot
+  // that catches one half-applied breaks them.
+  MetricsRegistry Reg;
+  Counter *const Targets[] = {&Reg.counter("t.batches"),
+                              &Reg.counter("t.programs"),
+                              &Reg.counter("t.hits"), &Reg.counter("t.misses")};
+  const uint64_t Deltas[] = {1, 2, 3, 5};
   std::atomic<bool> Stop{false};
   std::atomic<bool> Failed{false};
+  std::atomic<int> Snapshots{0};
 
   std::thread Reader([&] {
     while (!Stop.load()) {
-      const ServeSnapshot S = Stats.snapshot();
-      if (S.CacheHits * 5 != S.CacheMisses * 3 ||
-          S.ProgramsServed * 2 != S.BatchesServed * 4 ||
-          S.hitRate() > 1.0)
+      const std::string Json = Reg.snapshotJson();
+      const uint64_t Batches = counterIn(Json, "t.batches");
+      if (counterIn(Json, "t.programs") != 2 * Batches ||
+          counterIn(Json, "t.hits") != 3 * Batches ||
+          counterIn(Json, "t.misses") != 5 * Batches)
         Failed.store(true);
+      ++Snapshots;
     }
   });
+  // Writers keep publishing until the reader has looked many times, so
+  // the snapshots overlap the publishes.
+  std::atomic<uint64_t> Published{0};
   std::vector<std::thread> Writers;
   for (int T = 0; T < 4; ++T)
-    Writers.emplace_back([&Stats] {
-      for (int I = 0; I < 2000; ++I) {
-        ServeStats Delta;
-        Delta.BatchesServed = 1;
-        Delta.ProgramsServed = 2;
-        Delta.CacheHits = 3;
-        Delta.CacheMisses = 5;
-        Delta.TotalMicros = 100;
-        Stats.addBatch(Delta);
+    Writers.emplace_back([&] {
+      for (int I = 0; I < 2000 || Snapshots.load() < 200; ++I) {
+        Reg.publish(Targets, Deltas, 4);
+        ++Published;
       }
     });
   for (std::thread &W : Writers)
@@ -543,31 +548,58 @@ TEST(ServeStats, SnapshotSeesBatchesAllOrNothing) {
   Reader.join();
 
   EXPECT_FALSE(Failed.load());
-  const ServeSnapshot Final = Stats.snapshot();
-  EXPECT_EQ(Final.BatchesServed, 8000u);
-  EXPECT_EQ(Final.CacheHits, 24000u);
-  EXPECT_EQ(Final.CacheMisses, 40000u);
-  EXPECT_DOUBLE_EQ(Final.hitRate(), 24000.0 / 64000.0);
-  EXPECT_DOUBLE_EQ(Final.throughput(), 16000.0 * 1e6 / 800000.0);
-
-  Stats.reset();
-  const ServeSnapshot Zero = Stats.snapshot();
-  EXPECT_EQ(Zero.BatchesServed, 0u);
-  EXPECT_EQ(Zero.TotalMicros, 0u);
-  EXPECT_EQ(Zero.hitRate(), 0.0);
+  const std::string Final = Reg.snapshotJson();
+  EXPECT_GE(Published.load(), 8000u);
+  EXPECT_EQ(counterIn(Final, "t.batches"), Published.load());
+  EXPECT_EQ(counterIn(Final, "t.hits"), 3 * Published.load());
+  EXPECT_EQ(counterIn(Final, "t.misses"), 5 * Published.load());
 }
 
-TEST(ServeStats, PerMethodCountersTravelWithBatch) {
-  ServeStats Stats;
-  ServeStats Delta;
-  Delta.forMethod(PredictMethod::RL).Loops = 10;
-  Delta.forMethod(PredictMethod::RL).Misses = 4;
-  Delta.forMethod(PredictMethod::NNS).Loops = 3;
-  Stats.addBatch(Delta);
-  const ServeSnapshot S = Stats.snapshot();
-  EXPECT_EQ(S.PerMethod[static_cast<size_t>(PredictMethod::RL)].Loops, 10u);
-  EXPECT_EQ(S.PerMethod[static_cast<size_t>(PredictMethod::RL)].Misses, 4u);
-  EXPECT_EQ(S.PerMethod[static_cast<size_t>(PredictMethod::NNS)].Loops, 3u);
+TEST(ServeCounters, PerMethodCountsTravelWithBatch) {
+  // One batch over three backends: each method's counters move by its own
+  // traffic in the batch's publish, and the global lookup counts are the
+  // sums of the per-method ones.
+  NeuroVectorizerConfig Config;
+  Config.Embedding.CodeDim = 16;
+  Config.Embedding.TokenDim = 8;
+  Config.Embedding.PathDim = 8;
+  NeuroVectorizer NV(Config);
+  const std::string Source =
+      "float x[256]; float y[256]; void s() { for (int i = 0; i < 256; "
+      "i++) { y[i] = y[i] + x[i]; } }";
+  const std::vector<AnnotationRequest> Requests = {
+      {"rl", Source, PredictMethod::RL},
+      {"rl-again", Source, PredictMethod::RL},
+      {"random", Source, PredictMethod::Random},
+      {"baseline", Source, PredictMethod::Baseline}};
+  const CounterDelta RLLoops("serve.method.rl.loops");
+  const CounterDelta RLMisses("serve.method.rl.misses");
+  const CounterDelta RLDedup("serve.method.rl.dedup_hits");
+  const CounterDelta RandomLoops("serve.method.random.loops");
+  const CounterDelta RandomMisses("serve.method.random.misses");
+  const CounterDelta BaselineLoops("serve.method.baseline.loops");
+  const CounterDelta BaselineMisses("serve.method.baseline.misses");
+  const CounterDelta Hits("serve.cache_hits");
+  const CounterDelta DedupHits("serve.dedup_hits");
+  const CounterDelta Misses("serve.cache_misses");
+  const CounterDelta Served("serve.programs_served");
+  const CounterDelta LoopsServed("serve.loops_served");
+
+  for (const AnnotationResult &Res : NV.annotateBatch(Requests))
+    ASSERT_TRUE(Res.Ok) << Res.Error;
+
+  EXPECT_EQ(RLLoops(), 2u);
+  EXPECT_EQ(RLMisses(), 1u);
+  EXPECT_EQ(RLDedup(), 1u);
+  EXPECT_EQ(RandomLoops(), 1u);
+  EXPECT_EQ(RandomMisses(), 1u);
+  EXPECT_EQ(BaselineLoops(), 1u);
+  EXPECT_EQ(BaselineMisses(), 1u);
+  EXPECT_EQ(Hits(), 0u);
+  EXPECT_EQ(DedupHits(), RLDedup());
+  EXPECT_EQ(Misses(), RLMisses() + RandomMisses() + BaselineMisses());
+  EXPECT_EQ(Served(), 4u);
+  EXPECT_EQ(LoopsServed(), 4u);
 }
 
 // --- End-to-end serve wiring ----------------------------------------------
@@ -591,8 +623,14 @@ TEST(Telemetry, ServePipelineRecordsHistogramsAndSpans) {
 
   ShardedHistogram &BatchUs = Telemetry::metrics().histogram("serve.batch_us");
   ShardedHistogram &ParseUs = Telemetry::metrics().histogram("serve.parse_us");
+  ShardedHistogram &ExtractUs =
+      Telemetry::metrics().histogram("serve.extract_us");
+  ShardedHistogram &InferUs = Telemetry::metrics().histogram("serve.infer_us");
   const uint64_t BatchesBefore = BatchUs.snapshot().count();
   const uint64_t ParsesBefore = ParseUs.snapshot().count();
+  const uint64_t ExtractsBefore = ExtractUs.snapshot().count();
+  const uint64_t InfersBefore = InferUs.snapshot().count();
+  const CounterDelta Served("serve.programs_served");
 
   std::vector<AnnotationRequest> Requests;
   for (const GeneratedLoop &L : Gen.generateMany(6))
@@ -609,6 +647,8 @@ TEST(Telemetry, ServePipelineRecordsHistogramsAndSpans) {
 
   // Histograms advanced: one batch, one parse per request.
   EXPECT_EQ(BatchUs.snapshot().count(), BatchesBefore + 1);
+  EXPECT_EQ(ExtractUs.snapshot().count(), ExtractsBefore + 1);
+  EXPECT_EQ(InferUs.snapshot().count(), InfersBefore + 1);
   EXPECT_EQ(ParseUs.snapshot().count(), ParsesBefore + Requests.size());
 
   // The trace carries the batch and phase spans, and exports valid
@@ -633,10 +673,7 @@ TEST(Telemetry, ServePipelineRecordsHistogramsAndSpans) {
   // The full /statsz-style document stays well-formed with serve data in.
   EXPECT_TRUE(minijson::valid(Telemetry::snapshotJson()));
 
-  // ServeStats agrees with itself through the coherent snapshot.
-  const ServeSnapshot S = NV.service().stats().snapshot();
-  EXPECT_EQ(S.BatchesServed, 1u);
-  EXPECT_EQ(S.ProgramsServed, Requests.size());
+  EXPECT_EQ(Served(), Requests.size());
 }
 
 TEST(Telemetry, ServeTelemetryOffRecordsNothing) {
@@ -654,6 +691,7 @@ TEST(Telemetry, ServeTelemetryOffRecordsNothing) {
 
   ShardedHistogram &BatchUs = Telemetry::metrics().histogram("serve.batch_us");
   const uint64_t Before = BatchUs.snapshot().count();
+  const CounterDelta Served("serve.programs_served");
 
   ServeConfig Serve;
   Serve.Threads = 2;
@@ -664,8 +702,8 @@ TEST(Telemetry, ServeTelemetryOffRecordsNothing) {
   NV.service(Serve).annotateBatch(Requests);
 
   EXPECT_EQ(BatchUs.snapshot().count(), Before); // Untouched.
-  // The thin counter view still works without telemetry.
-  EXPECT_EQ(NV.service().stats().snapshot().ProgramsServed, Requests.size());
+  // The counters are published without telemetry too.
+  EXPECT_EQ(Served(), Requests.size());
 }
 
 } // namespace
