@@ -79,9 +79,21 @@ public:
   /// Convenience single-snippet encode (1 x CodeDim).
   Matrix encode(const std::vector<PathContext> &Contexts);
 
-  /// Accumulates parameter gradients for the last encodeBatch() given the
-  /// loss gradient \p dV (batch x CodeDim).
-  void backward(const Matrix &dV);
+  /// Accumulates parameter gradients for the last encodeBatchInto() given
+  /// the loss gradient \p dV (batch x CodeDim). It writes the gradients
+  /// over the forward caches, so it runs once per encodeBatchInto
+  /// (asserted) and needs no buffer of its own beyond one score gradient
+  /// per context and, on a pool, one W-sized scratch per thread.
+  ///
+  /// Pool contract: with \p Pool the work fans out (the per-sample steps
+  /// over samples, W.Grad over element ranges, B.Grad and Attn.Grad over
+  /// columns, the embedding tables over disjoint row ranges), yet every
+  /// gradient element adds its terms in the serial order: W.Grad one
+  /// gemmTAInto chain per sample, in sample order; B.Grad and Attn.Grad
+  /// in (sample, context) order; each embedding-table row in (sample,
+  /// context, src -> path -> dst) order. No partial sums are formed, so
+  /// the gradients are bit-identical with no pool and at any pool size.
+  void backward(const Matrix &dV, ThreadPool *Pool = nullptr);
 
   std::vector<Param *> params();
 
@@ -96,19 +108,29 @@ private:
 
   /// Cached forward state per batch row. Reused across batches: growing a
   /// vector member reuses its allocation whenever the new size fits.
+  /// backward() overwrites X with dX and C with dC.
   struct SampleCache {
     std::vector<PathContext> Contexts;
     Matrix X;     ///< (n x inDim) concatenated embeddings.
     Matrix C;     ///< (n x CodeDim) tanh context vectors.
-    std::vector<double> Alpha; ///< Attention weights (n).
+    std::vector<double> Alpha;  ///< Attention weights (n).
+    std::vector<double> dScore; ///< Attention-score gradients (n).
   };
   std::vector<SampleCache> Cache;
   bool BackwardReady = false; ///< Set by encodeBatchInto only.
-  Matrix BackdC; ///< Backward scratch (n x CodeDim).
-  Matrix BackdX; ///< Backward scratch (n x inDim).
 
   void encodeSample(SampleCache &SC, ContextSpan Contexts, double *VRow,
                     ThreadPool *Pool);
+
+  // backward()'s passes. Each covers the samples [Begin, End) and owns a
+  // disjoint slice of the gradients it writes, so slices run in parallel.
+  void backwardSamples(const Matrix &dV, size_t Begin, size_t End,
+                       ThreadPool *Pool);
+  void scoreGradient(SampleCache &SC, const double *dVRow);
+  void columnSums(const Matrix &dV, size_t Begin, size_t End, int D0,
+                  int D1);
+  void scatterRows(size_t Begin, size_t End, int TokLo, int TokHi,
+                   int PathLo, int PathHi);
 };
 
 } // namespace nv

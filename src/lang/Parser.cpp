@@ -12,6 +12,15 @@
 
 using namespace nv;
 
+namespace {
+
+/// Resolved when the library loads, not on the first rejection, so a
+/// fresh process's statsz already exports the key (at 0).
+Counter &NestingRejected =
+    Telemetry::metrics().counter("lang.nesting_rejected");
+
+} // namespace
+
 /// One nesting level for the lifetime of a production.
 class Parser::NestingLevel {
 public:
@@ -67,11 +76,8 @@ bool Parser::tooDeep() {
   if (Peak <= MaxNestingDepth)
     return false;
   // Counted once per program the bound rejects: the first error wins.
-  if (!Failed) {
-    static Counter &NestingRejected =
-        Telemetry::metrics().counter("lang.nesting_rejected");
+  if (!Failed)
     NestingRejected.add();
-  }
   fail("nesting too deep (more than " + std::to_string(MaxNestingDepth) +
        " levels) at line " + std::to_string(peek().Line));
   return true;

@@ -93,6 +93,8 @@ void gemmInto(Matrix &C, const Matrix &A, const Matrix &B,
 
 /// C (+)= A^T * B with A (R x M), B (R x N), C (M x N). \p Accumulate
 /// selects += (gradient accumulation) vs overwrite. C must not alias.
+/// Accumulating adds each element's finished chain to C in one add, so it
+/// equals computing A^T * B into a scratch and adding that, bit for bit.
 void gemmTAInto(Matrix &C, const Matrix &A, const Matrix &B,
                 bool Accumulate = false, ThreadPool *Pool = nullptr);
 

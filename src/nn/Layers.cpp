@@ -103,7 +103,7 @@ Matrix MLP::forward(const Matrix &X) {
   return Out;
 }
 
-Matrix MLP::backward(const Matrix &dY) {
+Matrix MLP::backward(const Matrix &dY, ThreadPool *Pool) {
   // Ping-pong between two scratch buffers; the hidden-activation
   // derivative is applied from the saved activated outputs before each
   // hidden layer's affine backward (the fused-forward counterpart of the
@@ -134,12 +134,12 @@ Matrix MLP::backward(const Matrix &dY) {
       }
       Matrix &Next = BackScratch.get(I % 2, Scaled.rows(),
                                      Linears[I]->inputSize());
-      Linears[I]->backwardInto(Scaled, Next);
+      Linears[I]->backwardInto(Scaled, Next, Pool);
       Cur = &Next;
     } else {
       Matrix &Next = BackScratch.get(I % 2, Cur->rows(),
                                      Linears[I]->inputSize());
-      Linears[I]->backwardInto(*Cur, Next);
+      Linears[I]->backwardInto(*Cur, Next, Pool);
       Cur = &Next;
     }
   }

@@ -122,7 +122,9 @@ public:
                    bool ActivateLast = false, bool ForBackward = true);
 
   Matrix forward(const Matrix &X);
-  Matrix backward(const Matrix &dY);
+  /// Backpropagates the last ForBackward forward; the layers' GEMMs fan
+  /// out across \p Pool when given (bit-identical at any pool size).
+  Matrix backward(const Matrix &dY, ThreadPool *Pool = nullptr);
 
   std::vector<Param *> params();
   int inputSize() const { return Linears.front()->inputSize(); }

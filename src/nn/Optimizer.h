@@ -9,6 +9,13 @@
 /// the paper's RLlib PPO configuration; plain SGD is kept for tests and
 /// ablations. Both support global-norm gradient clipping (PPO stability).
 ///
+/// Pool contract: clipGradNorm and Adam::step take an optional ThreadPool
+/// and split their element-wise work across it in element ranges. No
+/// element's arithmetic depends on the partition, and the one reduction
+/// (the clip norm) keeps its serial order: one chain per parameter, the
+/// chains summed in parameter order. Results are therefore bit-identical
+/// with no pool and at any pool size.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NV_NN_OPTIMIZER_H
@@ -20,9 +27,13 @@
 
 namespace nv {
 
+class ThreadPool;
+
 /// Clips gradients of \p Params to a maximum global L2 norm; returns the
-/// pre-clip norm.
-double clipGradNorm(const std::vector<Param *> &Params, double MaxNorm);
+/// pre-clip norm. With \p Pool, the per-parameter norms and the scaling
+/// run across it (bit-identical; see the file comment).
+double clipGradNorm(const std::vector<Param *> &Params, double MaxNorm,
+                    ThreadPool *Pool = nullptr);
 
 /// Plain SGD: value -= lr * grad.
 class SGD {
@@ -45,7 +56,10 @@ public:
       : LearningRate(LearningRate), Beta1(Beta1), Beta2(Beta2),
         Epsilon(Epsilon) {}
 
-  void step(const std::vector<Param *> &Params);
+  /// One Adam update of \p Params. Moments are looked up (and allocated
+  /// on first use) serially; with \p Pool the element-wise update then
+  /// runs across it in element ranges (bit-identical at any pool size).
+  void step(const std::vector<Param *> &Params, ThreadPool *Pool = nullptr);
   void setLearningRate(double LR) { LearningRate = LR; }
   double learningRate() const { return LearningRate; }
 
@@ -73,6 +87,7 @@ private:
   double Beta1, Beta2, Epsilon;
   long long StepCount = 0;
   std::vector<std::pair<const Param *, Moments>> State;
+  std::vector<Moments *> StepMoments; ///< step()'s per-call lookup.
 
   Moments &momentsFor(const Param *P);
 };

@@ -108,17 +108,6 @@ double PPORunner::update(const std::vector<Transition> &Batch,
       A = (A - Mean) / Std;
   }
 
-  // Gather the state contexts (and legality digests, for feature-widened
-  // policies) once.
-  std::vector<std::vector<PathContext>> Contexts;
-  std::vector<LegalityDigest> Digests;
-  Contexts.reserve(B);
-  Digests.reserve(B);
-  for (const Transition &T : Batch) {
-    Contexts.push_back(Env.sample(T.SampleIdx).Contexts[T.SiteIdx]);
-    Digests.push_back(Env.legality(T.SampleIdx, T.SiteIdx).digest());
-  }
-
   std::vector<Param *> AllParams = trainableParams();
 
   // Minibatched SGD epochs over the batch (RLlib-style).
@@ -138,12 +127,15 @@ double PPORunner::update(const std::vector<Transition> &Batch,
       for (Param *P : AllParams)
         P->zeroGrad();
 
-      std::vector<std::vector<PathContext>> MiniContexts;
-      MiniContexts.reserve(M);
+      // The minibatch's state contexts (and legality digests, for
+      // feature-widened policies), straight from the environment into
+      // reused buffers.
+      MiniContexts.resize(M);
       DigestBuf.clear();
-      for (int I = Start; I < End; ++I) {
-        MiniContexts.push_back(Contexts[Order[I]]);
-        DigestBuf.push_back(Digests[Order[I]]);
+      for (int I = 0; I < M; ++I) {
+        const Transition &T = Batch[Order[Start + I]];
+        MiniContexts[I] = Env.sample(T.SampleIdx).Contexts[T.SiteIdx];
+        DigestBuf.push_back(Env.legality(T.SampleIdx, T.SiteIdx).digest());
       }
       Embedder.encodeBatchInto(MiniContexts, StatesBuf, MathPool);
       const Matrix &States = widenStates(
@@ -186,8 +178,8 @@ double PPORunner::update(const std::vector<Transition> &Batch,
                    EntropyCoef * EntropyTerm;
       ++NumMinibatches;
 
-      Matrix dStates =
-          Pol.backward(Actions, dLogProb, dValue, EntropyCoef / M, &Masks);
+      Matrix dStates = Pol.backward(Actions, dLogProb, dValue,
+                                    EntropyCoef / M, &Masks, MathPool);
       if (dStates.cols() > StatesBuf.cols()) {
         // The legality-feature columns are analysis inputs, not learned
         // state: drop their gradient and backprop the embedding block.
@@ -195,12 +187,12 @@ double PPORunner::update(const std::vector<Transition> &Batch,
         for (int R = 0; R < dStates.rows(); ++R)
           std::copy(dStates.rowPtr(R), dStates.rowPtr(R) + StatesBuf.cols(),
                     NarrowGradBuf.rowPtr(R));
-        Embedder.backward(NarrowGradBuf);
+        Embedder.backward(NarrowGradBuf, MathPool);
       } else {
-        Embedder.backward(dStates);
+        Embedder.backward(dStates, MathPool);
       }
-      clipGradNorm(AllParams, Config.MaxGradNorm);
-      Optimizer.step(AllParams);
+      clipGradNorm(AllParams, Config.MaxGradNorm, MathPool);
+      Optimizer.step(AllParams, MathPool);
     }
   }
   return TotalLoss / std::max(1, NumMinibatches);

@@ -96,9 +96,11 @@ public:
   double trainOnBatch(const std::vector<Transition> &Batch,
                       double EntropyCoef);
 
-  /// Optional pool for the NN math kernels (encode/forward/update GEMMs).
-  /// Safe for the determinism contract: the blocked kernels are
-  /// bit-identical at any pool size. Default is serial (nullptr).
+  /// Optional pool for the NN math: the encode and policy forwards, and
+  /// the whole update (policy and embedding backward, clip, Adam). Safe
+  /// for the determinism contract: every pooled step is bit-identical at
+  /// any pool size, so weights and Adam moments do not depend on it.
+  /// Default is serial (nullptr).
   void setMathPool(ThreadPool *Pool) { MathPool = Pool; }
 
   /// Greedy factors for a raw context bag (inference path).
@@ -140,6 +142,8 @@ private:
   Matrix WideStatesBuf;
   Matrix NarrowGradBuf; ///< dStates minus the feature columns.
   std::vector<LegalityDigest> DigestBuf;
+  /// update()'s minibatch context bags (copies reuse each bag's capacity).
+  std::vector<std::vector<PathContext>> MiniContexts;
 };
 
 } // namespace nv

@@ -253,7 +253,8 @@ Matrix Policy::backward(const std::vector<ActionRecord> &Actions,
                         const std::vector<double> &dLogProb,
                         const std::vector<double> &dValue,
                         double EntropyCoef,
-                        const std::vector<PlanMask> *Masks) {
+                        const std::vector<PlanMask> *Masks,
+                        ThreadPool *Pool) {
   const int Batch = TrunkOut.rows();
   assert(static_cast<int>(Actions.size()) == Batch &&
          static_cast<int>(dLogProb.size()) == Batch &&
@@ -313,15 +314,15 @@ Matrix Policy::backward(const std::vector<ActionRecord> &Actions,
 
   Matrix &dTrunkOut = Back.get(2, Batch, TrunkOut.cols());
   Matrix &dTrunkVal = Back.get(3, Batch, TrunkOut.cols());
-  ActionHead.backwardInto(dHead, dTrunkOut);
-  ValueHead.backwardInto(dVal, dTrunkVal);
+  ActionHead.backwardInto(dHead, dTrunkOut, Pool);
+  ValueHead.backwardInto(dVal, dTrunkVal, Pool);
   dTrunkOut += dTrunkVal;
   // tanh fused onto the trunk's last layer in forward().
   for (size_t I = 0; I < dTrunkOut.size(); ++I) {
     const double Y = TrunkOut.raw()[I];
     dTrunkOut.raw()[I] *= 1.0 - Y * Y;
   }
-  return Trunk.backward(dTrunkOut);
+  return Trunk.backward(dTrunkOut, Pool);
 }
 
 std::vector<Param *> Policy::params() {

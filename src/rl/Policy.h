@@ -99,11 +99,13 @@ public:
   /// given, holds one PlanMask per row (empty = unmasked) matching the
   /// masks the log-probs were computed under; masked logits receive zero
   /// gradient. Returns dLoss/dStates for end-to-end training of the
-  /// embedding generator.
+  /// embedding generator. The layers' GEMMs fan out across \p Pool when
+  /// given (bit-identical at any pool size).
   Matrix backward(const std::vector<ActionRecord> &Actions,
                   const std::vector<double> &dLogProb,
                   const std::vector<double> &dValue, double EntropyCoef,
-                  const std::vector<PlanMask> *Masks = nullptr);
+                  const std::vector<PlanMask> *Masks = nullptr,
+                  ThreadPool *Pool = nullptr);
 
   std::vector<Param *> params();
 

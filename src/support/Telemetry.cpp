@@ -3,6 +3,7 @@
 #include "support/Telemetry.h"
 
 #include <cstdio>
+#include <utility>
 
 using namespace nv;
 
@@ -166,17 +167,43 @@ std::string histogramJson(const Histogram &H) {
 
 } // namespace
 
-std::string MetricsRegistry::snapshotJson() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  JsonLine CountersJson;
-  for (const auto &[Name, C] : Counters)
-    CountersJson.field(Name, C->value());
-  JsonLine GaugesJson;
-  for (const auto &[Name, G] : Gauges)
-    GaugesJson.field(Name, G->value());
-  JsonLine HistogramsJson;
+std::vector<MetricsRegistry::NamedHistogram>
+MetricsRegistry::histogramsLocked() const {
+  std::vector<NamedHistogram> Out;
+  Out.reserve(Histograms.size());
   for (const auto &[Name, H] : Histograms)
-    HistogramsJson.raw(Name, histogramJson(H->snapshot()));
+    Out.push_back({&Name, H.get()});
+  return Out;
+}
+
+std::string MetricsRegistry::snapshotJson() const {
+  // Counter and gauge values are copied under the lock (publish() holds
+  // it, so a group of counters is seen whole), together with the
+  // histogram addresses. Merging shards and formatting run after it is
+  // released: entries are never erased, so names and addresses stay
+  // valid.
+  std::vector<std::pair<const std::string *, uint64_t>> CounterValues;
+  std::vector<std::pair<const std::string *, double>> GaugeValues;
+  std::vector<NamedHistogram> Hists;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    CounterValues.reserve(Counters.size());
+    for (const auto &[Name, C] : Counters)
+      CounterValues.emplace_back(&Name, C->value());
+    GaugeValues.reserve(Gauges.size());
+    for (const auto &[Name, G] : Gauges)
+      GaugeValues.emplace_back(&Name, G->value());
+    Hists = histogramsLocked();
+  }
+  JsonLine CountersJson;
+  for (const auto &[Name, Value] : CounterValues)
+    CountersJson.field(*Name, Value);
+  JsonLine GaugesJson;
+  for (const auto &[Name, Value] : GaugeValues)
+    GaugesJson.field(*Name, Value);
+  JsonLine HistogramsJson;
+  for (const NamedHistogram &H : Hists)
+    HistogramsJson.raw(*H.Name, histogramJson(H.Shards->snapshot()));
   return JsonLine()
       .raw("counters", CountersJson.str())
       .raw("gauges", GaugesJson.str())
@@ -194,14 +221,19 @@ Table MetricsRegistry::counterTable() const {
 }
 
 Table MetricsRegistry::histogramTable() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
+  std::vector<NamedHistogram> Hists;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Hists = histogramsLocked();
+  }
   Table T({"histogram", "count", "mean ms", "p50 ms", "p90 ms", "p99 ms",
            "p99.9 ms", "max ms"});
-  for (const auto &[Name, Sharded] : Histograms) {
-    const Histogram H = Sharded->snapshot();
+  for (const NamedHistogram &Named : Hists) {
+    const Histogram H = Named.Shards->snapshot();
     if (H.count() == 0)
       continue;
-    T.addRow({Name, std::to_string(H.count()), Table::fmt(H.mean() / 1e3),
+    T.addRow({*Named.Name, std::to_string(H.count()),
+              Table::fmt(H.mean() / 1e3),
               Table::fmt(H.percentile(0.50) / 1e3),
               Table::fmt(H.percentile(0.90) / 1e3),
               Table::fmt(H.percentile(0.99) / 1e3),

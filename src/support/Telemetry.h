@@ -36,6 +36,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace nv {
 
@@ -114,7 +115,10 @@ public:
   /// a snapshot sees every increment of one call or none of them.
   void publish(Counter *const *Targets, const uint64_t *Deltas, size_t N);
 
-  /// The full registry as one JSON object:
+  /// The full registry as one JSON object. Only the counter and gauge
+  /// reads hold the registry lock; histograms are merged and everything
+  /// is formatted after it is released, so a snapshot never holds back
+  /// publish() or registration for longer than those reads:
   /// {"counters": {...}, "gauges": {...}, "histograms": {name:
   /// {"count","sum_us","min_us","max_us","mean_us","p50_us","p90_us",
   /// "p99_us","p999_us"}, ...}}. Keys are sorted (std::map), so the
@@ -131,6 +135,13 @@ public:
   bool writeJsonFile(const std::string &Path) const;
 
 private:
+  struct NamedHistogram {
+    const std::string *Name;
+    const ShardedHistogram *Shards;
+  };
+  /// Every histogram's name and address; the caller holds Mutex.
+  std::vector<NamedHistogram> histogramsLocked() const;
+
   mutable std::mutex Mutex;
   std::map<std::string, std::unique_ptr<Counter>> Counters;
   std::map<std::string, std::unique_ptr<Gauge>> Gauges;

@@ -89,6 +89,8 @@ TrainReport Trainer::run() {
   Gauge &StageGauge = Metrics.gauge("train.stage");
   Gauge &RateGauge = Metrics.gauge("train.transitions_per_sec");
   ShardedHistogram &BatchUs = Metrics.histogram("train.batch_us");
+  ShardedHistogram &CollectUs = Metrics.histogram("train.collect_us");
+  ShardedHistogram &UpdateUs = Metrics.histogram("train.update_us");
 
   // Resume, if asked and possible. A missing or invalid checkpoint is not
   // fatal: the run simply starts from scratch.
@@ -124,11 +126,11 @@ TrainReport Trainer::run() {
         "or configure a curriculum");
 
   RolloutWorkers Workers(Runner.env(), Spec, Config.NumWorkers);
-  // The PPO update stays serial and deterministic, but its GEMMs fan out
-  // across a worker-sized pool — safe because the blocked kernels are
-  // bit-identical at any pool size (the 1-vs-N-worker reproducibility
-  // tests now also cover differing math-pool sizes). The guard unsets the
-  // pool before it dies: the runner outlives this call.
+  // The PPO update runs across a worker-sized math pool (forwards,
+  // backwards, clip and Adam) and stays deterministic: every pooled step
+  // is bit-identical at any pool size, so the 1-vs-N-worker
+  // reproducibility tests also cover differing math-pool sizes. The guard
+  // unsets the pool before it dies: the runner outlives this call.
   struct MathPoolGuard {
     PPORunner &Runner;
     ThreadPool Pool;
@@ -196,6 +198,7 @@ TrainReport Trainer::run() {
                     Runner.env().size(), PPO.BatchSize, Buffer);
     Runner.rng().next();
     Progress.StepsDone += PPO.BatchSize;
+    const uint64_t CollectEnd = nowMicros();
 
     // Entropy annealing against the *total* budget (same schedule as the
     // serial PPORunner::train), so interrupted + resumed == uninterrupted.
@@ -206,6 +209,7 @@ TrainReport Trainer::run() {
         PPO.EntropyCoef +
         (PPO.FinalEntropyCoef - PPO.EntropyCoef) * Fraction;
     const double Loss = Runner.trainOnBatch(Buffer.Transitions, EntropyCoef);
+    const uint64_t UpdateEnd = nowMicros();
     ++Progress.BatchesDone;
     ++Report.BatchesRun;
 
@@ -217,7 +221,11 @@ TrainReport Trainer::run() {
     const double Rate = BatchTime == 0 ? 0.0
                                        : static_cast<double>(PPO.BatchSize) *
                                              1e6 / BatchTime;
+    const uint64_t CollectTime = CollectEnd - BatchStart;
+    const uint64_t UpdateTime = UpdateEnd - CollectEnd;
     BatchUs.record(BatchTime);
+    CollectUs.record(CollectTime);
+    UpdateUs.record(UpdateTime);
     RewardEMAGauge.set(Runner.rewardEMA().value());
     LossGauge.set(Loss);
     StageGauge.set(Stages.stage());
@@ -232,7 +240,9 @@ TrainReport Trainer::run() {
                     .field("loss", Loss)
                     .field("entropy_coef", EntropyCoef)
                     .field("stage", Stages.stage())
-                    .field("transitions_per_sec", Rate));
+                    .field("transitions_per_sec", Rate)
+                    .field("collect_s", static_cast<double>(CollectTime) / 1e6)
+                    .field("update_s", static_cast<double>(UpdateTime) / 1e6));
 
     if (Stages.observe(Runner.rewardEMA().value(), PPO.BatchSize,
                        Runner.env())) {

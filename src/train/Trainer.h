@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The training-side orchestrator: fills PPO batches with parallel rollout
-/// workers, runs the (serial, deterministic) PPO update on the master
-/// model, advances the curriculum, checkpoints periodically, and tracks
+/// workers, runs the deterministic PPO update on the master model across
+/// a math pool, advances the curriculum, checkpoints periodically, and tracks
 /// the best model by held-out evaluation reward. The search/tuning driver
 /// is separated from the evaluator the same way bistra separates its
 /// tuner from its program evaluator.
@@ -74,7 +74,8 @@ struct TrainerConfig {
 
   /// JSONL run log (one event object per line): a "batch" event per PPO
   /// update (step, reward EMA, loss, entropy coefficient, curriculum
-  /// stage, transitions/s), a "curriculum" event per stage advance, an
+  /// stage, transitions/s, and the collect_s / update_s split of the
+  /// batch's seconds), a "curriculum" event per stage advance, an
   /// "eval" event per held-out evaluation (per-suite geomean speedups),
   /// and one "final" event. Appends, so a resumed run extends the same
   /// timeline. Empty disables it.

@@ -4,10 +4,13 @@
 #include "embedding/PathContext.h"
 #include "lang/LoopExtractor.h"
 #include "lang/Parser.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 using namespace nv;
 
@@ -228,6 +231,137 @@ TEST(Code2Vec, GradientsMatchFiniteDifferences) {
   }
   EXPECT_GT(Checked, 10);
   EXPECT_LT(MaxRel, 1e-6);
+}
+
+/// The one-thread backward as a plain per-sample loop: the forward caches
+/// rebuilt from the parameters, then each sample's gradients accumulated
+/// in turn. It pins the arithmetic backward() must reproduce bit for bit
+/// (params() order: TokenEmb, PathEmb, W, B, Attn).
+void referenceBackward(const Code2VecConfig &Config,
+                       const std::vector<Param *> &P,
+                       const std::vector<std::vector<PathContext>> &Bags,
+                       const Matrix &dV) {
+  Param &TokenEmb = *P[0], &PathEmb = *P[1], &W = *P[2], &B = *P[3],
+        &Attn = *P[4];
+  const int TD = Config.TokenDim, PD = Config.PathDim, CD = Config.CodeDim;
+  const int InDim = 2 * TD + PD;
+  for (size_t S = 0; S < Bags.size(); ++S) {
+    const std::vector<PathContext> &Bag = Bags[S];
+    const int N = static_cast<int>(Bag.size());
+    if (N == 0)
+      continue;
+    // Forward caches, as encodeBatchInto computes them.
+    Matrix X(N, InDim), C;
+    for (int I = 0; I < N; ++I) {
+      std::copy_n(TokenEmb.Value.rowPtr(Bag[I].SrcToken), TD, X.rowPtr(I));
+      std::copy_n(PathEmb.Value.rowPtr(Bag[I].Path), PD, X.rowPtr(I) + TD);
+      std::copy_n(TokenEmb.Value.rowPtr(Bag[I].DstToken), TD,
+                  X.rowPtr(I) + TD + PD);
+    }
+    gemmInto(C, X, W.Value, &B.Value, Activation::Tanh);
+    std::vector<double> Alpha(N);
+    double MaxScore = -1e300;
+    for (int I = 0; I < N; ++I) {
+      double Dot = 0.0;
+      for (int D = 0; D < CD; ++D)
+        Dot += C.at(I, D) * Attn.Value.at(0, D);
+      Alpha[I] = Dot;
+      MaxScore = std::max(MaxScore, Dot);
+    }
+    double Norm = 0.0;
+    for (int I = 0; I < N; ++I) {
+      Alpha[I] = std::exp(Alpha[I] - MaxScore);
+      Norm += Alpha[I];
+    }
+    for (int I = 0; I < N; ++I)
+      Alpha[I] /= Norm;
+
+    // Backward.
+    std::vector<double> dAlpha(N, 0.0), dScore(N);
+    Matrix dC(N, CD);
+    for (int I = 0; I < N; ++I) {
+      double Dot = 0.0;
+      for (int D = 0; D < CD; ++D) {
+        Dot += C.at(I, D) * dV.at(static_cast<int>(S), D);
+        dC.at(I, D) = Alpha[I] * dV.at(static_cast<int>(S), D);
+      }
+      dAlpha[I] = Dot;
+    }
+    double Weighted = 0.0;
+    for (int I = 0; I < N; ++I)
+      Weighted += Alpha[I] * dAlpha[I];
+    for (int I = 0; I < N; ++I)
+      dScore[I] = Alpha[I] * (dAlpha[I] - Weighted);
+    for (int I = 0; I < N; ++I)
+      for (int D = 0; D < CD; ++D) {
+        Attn.Grad.at(0, D) += dScore[I] * C.at(I, D);
+        dC.at(I, D) += dScore[I] * Attn.Value.at(0, D);
+      }
+    for (int I = 0; I < N; ++I)
+      for (int D = 0; D < CD; ++D)
+        dC.at(I, D) *= 1.0 - C.at(I, D) * C.at(I, D);
+    gemmTAInto(W.Grad, X, dC, /*Accumulate=*/true);
+    sumRowsInto(B.Grad, dC, /*Accumulate=*/true);
+    Matrix dX;
+    gemmTBInto(dX, dC, W.Value);
+    for (int I = 0; I < N; ++I) {
+      const double *Row = dX.rowPtr(I);
+      for (int D = 0; D < TD; ++D)
+        TokenEmb.Grad.at(Bag[I].SrcToken, D) += Row[D];
+      for (int D = 0; D < PD; ++D)
+        PathEmb.Grad.at(Bag[I].Path, D) += Row[TD + D];
+      for (int D = 0; D < TD; ++D)
+        TokenEmb.Grad.at(Bag[I].DstToken, D) += Row[TD + PD + D];
+    }
+  }
+}
+
+TEST(Code2Vec, BackwardBitIdenticalToSerialAtAnyPoolSize) {
+  // backward() spreads its passes over the pool; every gradient element
+  // must still add its terms in the serial loop's order. Bags share a few
+  // dozen token and path ids (src == dst included), so table rows collect
+  // many terms, and one bag is empty.
+  Code2VecConfig Config;
+  std::vector<std::vector<PathContext>> Bags(40);
+  RNG Pick(21);
+  for (size_t S = 0; S < Bags.size(); ++S) {
+    const size_t N = S == 7 ? 0 : 1 + Pick.nextBounded(96);
+    for (size_t I = 0; I < N; ++I) {
+      const int Src = static_cast<int>(Pick.nextBounded(40));
+      const int Dst = I % 5 == 0 ? Src : static_cast<int>(Pick.nextBounded(40));
+      Bags[S].push_back({Src, static_cast<int>(Pick.nextBounded(60)), Dst});
+    }
+  }
+  RNG GradRng(22);
+  Matrix dV(static_cast<int>(Bags.size()), Config.CodeDim);
+  dV.initGaussian(GradRng, 1.0);
+  // Gradients accumulate onto what is already there.
+  auto prefill = [](const std::vector<Param *> &Params) {
+    RNG Fill(23);
+    for (Param *P : Params)
+      P->Grad.initGaussian(Fill, 0.5);
+  };
+
+  RNG RefInit(24);
+  Code2Vec Ref(Config, RefInit);
+  prefill(Ref.params());
+  referenceBackward(Config, Ref.params(), Bags, dV);
+
+  for (int Threads : {0, 1, 2, 4}) {
+    std::unique_ptr<ThreadPool> Pool;
+    if (Threads > 0)
+      Pool = std::make_unique<ThreadPool>(Threads);
+    RNG Init(24);
+    Code2Vec Embedder(Config, Init);
+    prefill(Embedder.params());
+    Matrix V;
+    Embedder.encodeBatchInto(Bags, V, Pool.get());
+    Embedder.backward(dV, Pool.get());
+    const char *Names[] = {"TokenEmb", "PathEmb", "W", "B", "Attn"};
+    for (size_t P = 0; P < 5; ++P)
+      EXPECT_EQ(Embedder.params()[P]->Grad.raw(), Ref.params()[P]->Grad.raw())
+          << Names[P] << " gradient, pool of " << Threads << " threads";
+  }
 }
 
 TEST(Code2Vec, AttentionWeightsAreADistribution) {

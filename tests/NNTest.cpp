@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 using namespace nv;
 
@@ -331,6 +332,98 @@ TEST(Optimizer, GradClipScalesDown) {
   EXPECT_NEAR(Norm, 5.0, 1e-12);
   EXPECT_NEAR(P.Grad.at(0, 0), 0.6, 1e-12);
   EXPECT_NEAR(P.Grad.at(0, 1), 0.8, 1e-12);
+}
+
+TEST(Optimizer, ClipAndAdamBitIdenticalAtAnyPoolSize) {
+  // clipGradNorm and Adam::step split their element-wise work across the
+  // pool; values, gradients, moments and the returned norms must equal the
+  // plain serial loops bit for bit. Params span several element ranges
+  // (a 4096 x 16 table) and none; some steps clip and some do not.
+  const std::vector<std::pair<int, int>> Shapes = {
+      {4096, 16}, {300, 64}, {48, 64}, {1, 64}, {1, 1}};
+  auto makeParams = [&] {
+    std::vector<std::unique_ptr<Param>> Params;
+    RNG Init(41);
+    for (const auto &[Rows, Cols] : Shapes) {
+      Params.push_back(std::make_unique<Param>(Rows, Cols));
+      Params.back()->Value.initGaussian(Init, 1.0);
+    }
+    return Params;
+  };
+  auto setGrads = [](std::vector<Param *> &Params, int Step) {
+    RNG Fill(50 + Step);
+    // Norms near 200 clip at MaxNorm 40; near 2 they do not.
+    const double Std = Step % 2 == 0 ? 0.5 : 0.005;
+    for (Param *P : Params)
+      P->Grad.initGaussian(Fill, Std);
+  };
+  const double MaxNorm = 40.0, LR = 1e-3, B1 = 0.9, B2 = 0.999, Eps = 1e-8;
+  constexpr int Steps = 4;
+
+  // Reference: the serial loops.
+  auto RefOwned = makeParams();
+  std::vector<Param *> Ref;
+  for (auto &P : RefOwned)
+    Ref.push_back(P.get());
+  std::vector<std::vector<double>> M, V;
+  for (Param *P : Ref) {
+    M.emplace_back(P->Value.size(), 0.0);
+    V.emplace_back(P->Value.size(), 0.0);
+  }
+  std::vector<double> RefNorms;
+  for (int Step = 1; Step <= Steps; ++Step) {
+    setGrads(Ref, Step);
+    double Total = 0.0;
+    for (const Param *P : Ref)
+      Total += P->Grad.squaredNorm();
+    const double Norm = std::sqrt(Total);
+    RefNorms.push_back(Norm);
+    if (Norm > MaxNorm)
+      for (Param *P : Ref)
+        P->Grad *= MaxNorm / Norm;
+    const double BC1 = 1.0 - std::pow(B1, static_cast<double>(Step));
+    const double BC2 = 1.0 - std::pow(B2, static_cast<double>(Step));
+    for (size_t K = 0; K < Ref.size(); ++K)
+      for (size_t I = 0; I < Ref[K]->Value.size(); ++I) {
+        const double G = Ref[K]->Grad.raw()[I];
+        M[K][I] = B1 * M[K][I] + (1.0 - B1) * G;
+        V[K][I] = B2 * V[K][I] + (1.0 - B2) * G * G;
+        const double MHat = M[K][I] / BC1;
+        const double VHat = V[K][I] / BC2;
+        Ref[K]->Value.raw()[I] -= LR * MHat / (std::sqrt(VHat) + Eps);
+      }
+  }
+  std::vector<double> RefMoments;
+  for (size_t K = 0; K < Ref.size(); ++K) {
+    RefMoments.insert(RefMoments.end(), M[K].begin(), M[K].end());
+    RefMoments.insert(RefMoments.end(), V[K].begin(), V[K].end());
+  }
+
+  for (int Threads : {0, 1, 4}) {
+    std::unique_ptr<ThreadPool> Pool;
+    if (Threads > 0)
+      Pool = std::make_unique<ThreadPool>(Threads);
+    auto Owned = makeParams();
+    std::vector<Param *> Params;
+    for (auto &P : Owned)
+      Params.push_back(P.get());
+    Adam Opt(LR, B1, B2, Eps);
+    for (int Step = 1; Step <= Steps; ++Step) {
+      setGrads(Params, Step);
+      EXPECT_EQ(clipGradNorm(Params, MaxNorm, Pool.get()),
+                RefNorms[Step - 1])
+          << "norm at step " << Step << ", " << Threads << " threads";
+      Opt.step(Params, Pool.get());
+    }
+    for (size_t K = 0; K < Params.size(); ++K) {
+      EXPECT_EQ(Params[K]->Value.raw(), Ref[K]->Value.raw())
+          << "param " << K << ", " << Threads << " threads";
+      EXPECT_EQ(Params[K]->Grad.raw(), Ref[K]->Grad.raw())
+          << "clipped gradient " << K << ", " << Threads << " threads";
+    }
+    EXPECT_EQ(Opt.exportMoments(Params), RefMoments)
+        << Threads << " threads";
+  }
 }
 
 TEST(Distributions, SoftmaxNormalizes) {

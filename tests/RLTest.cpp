@@ -1,6 +1,7 @@
 //===- tests/RLTest.cpp - environment, policy, PPO tests ------------------===//
 
 #include "rl/PPO.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -213,6 +214,52 @@ TEST(PPO, RewardCurveImproves) {
   EXPECT_EQ(Stats.Steps, 1600);
   EXPECT_GT(Stats.RewardMean.size(), 10u);
   EXPECT_GT(Stats.FinalRewardMean, -1.0); // Clearly above random (-2ish).
+}
+
+TEST(PPO, MathPoolDoesNotChangeTheUpdate) {
+  // One trainOnBatch from the same state, serially and on a 4-thread math
+  // pool: weights, Adam moments and the loss must match bit for bit.
+  // Default code2vec and trunk sizes, so the pooled passes really split.
+  VectorizationEnv Env{SimCompiler(), PathContextConfig()};
+  ASSERT_TRUE(Env.addProgram("dot", DotProduct));
+  ASSERT_TRUE(Env.addProgram("stencil", R"(
+    float a[1024]; float b[1024];
+    void f() { for (int i = 1; i < 1023; i++) { b[i] = a[i - 1] + a[i + 1]; }
+               for (int j = 0; j < 1024; j++) { a[j] = b[j] * 0.5; } })"));
+  struct Setup {
+    RNG R{17};
+    Code2Vec Embedder;
+    Policy Pol;
+    PPORunner Runner;
+    Setup(VectorizationEnv &Env, const PPOConfig &Config)
+        : Embedder(Code2VecConfig(), R),
+          Pol(ActionSpaceKind::Discrete, Code2VecConfig().CodeDim, {64, 64},
+              7, 5, R),
+          Runner(Env, Embedder, Pol, Config, 17) {}
+  };
+  PPOConfig Config;
+  Config.BatchSize = 256;
+  Config.MiniBatchSize = 64;
+  Config.LearningRate = 1e-3;
+  Setup Serial(Env, Config), Pooled(Env, Config);
+  const std::vector<Transition> Batch = Serial.Runner.collectBatch();
+  ASSERT_EQ(Pooled.Runner.collectBatch().size(), Batch.size());
+
+  ThreadPool Pool(4);
+  Pooled.Runner.setMathPool(&Pool);
+  const double SerialLoss = Serial.Runner.trainOnBatch(Batch, 0.05);
+  const double PooledLoss = Pooled.Runner.trainOnBatch(Batch, 0.05);
+  Pooled.Runner.setMathPool(nullptr);
+  EXPECT_EQ(SerialLoss, PooledLoss);
+  const std::vector<Param *> A = Serial.Runner.trainableParams();
+  const std::vector<Param *> B = Pooled.Runner.trainableParams();
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t P = 0; P < A.size(); ++P)
+    EXPECT_EQ(A[P]->Value.raw(), B[P]->Value.raw()) << "param " << P;
+  EXPECT_EQ(Serial.Runner.optimizer().exportMoments(A),
+            Pooled.Runner.optimizer().exportMoments(B));
+  EXPECT_EQ(Serial.Runner.optimizer().stepCount(),
+            Pooled.Runner.optimizer().stepCount());
 }
 
 TEST(PPO, PredictReturnsLegalFactors) {

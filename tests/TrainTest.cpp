@@ -20,7 +20,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -553,6 +555,48 @@ TEST(Trainer, TracksBestModelByEvalReward) {
   std::string Error;
   EXPECT_TRUE(Fresh.load(Config.BestModelPath, &Error)) << Error;
   std::remove(Config.BestModelPath.c_str());
+}
+
+/// The number after `"Key": ` in one JSONL line; NaN when absent.
+double jsonNumber(const std::string &Line, const std::string &Key) {
+  const std::string Needle = "\"" + Key + "\": ";
+  const size_t At = Line.find(Needle);
+  if (At == std::string::npos)
+    return std::nan("");
+  return std::strtod(Line.c_str() + At + Needle.size(), nullptr);
+}
+
+TEST(Trainer, RunLogSplitsEachBatchIntoCollectAndUpdate) {
+  NeuroVectorizer NV(smallConfig());
+  fillEnv(NV.env(), 6);
+  const int BatchSize = smallConfig().PPO.BatchSize;
+  TrainerConfig Config;
+  Config.NumWorkers = 2;
+  Config.TotalSteps = 3 * BatchSize;
+  Config.RunLogPath = tmpPath("split.jsonl");
+  std::remove(Config.RunLogPath.c_str());
+  NV.trainParallel(Config);
+
+  std::ifstream Log(Config.RunLogPath);
+  int Batches = 0;
+  for (std::string Line; std::getline(Log, Line);) {
+    if (Line.find("\"event\": \"batch\"") == std::string::npos)
+      continue;
+    ++Batches;
+    const double Collect = jsonNumber(Line, "collect_s");
+    const double Update = jsonNumber(Line, "update_s");
+    const double Rate = jsonNumber(Line, "transitions_per_sec");
+    ASSERT_TRUE(std::isfinite(Collect) && std::isfinite(Update) &&
+                std::isfinite(Rate) && Rate > 0.0)
+        << Line;
+    EXPECT_GE(Collect, 0.0);
+    EXPECT_GT(Update, 0.0);
+    // The batch time the rate comes from spans both phases; the 1e-6 s
+    // slack covers the decimal rounding of the logged numbers.
+    EXPECT_LE(Collect + Update, BatchSize / Rate + 1e-6) << Line;
+  }
+  EXPECT_EQ(Batches, 3);
+  std::remove(Config.RunLogPath.c_str());
 }
 
 TEST(Trainer, SerialWrapperStillTrains) {
