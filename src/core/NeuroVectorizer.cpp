@@ -6,11 +6,11 @@
 #include "ir/Lowering.h"
 #include "lang/Parser.h"
 #include "lang/PrettyPrinter.h"
-#include "rl/StateFeatures.h"
 #include "serve/ModelSerializer.h"
 #include "support/Telemetry.h"
 
 #include <cassert>
+#include <tuple>
 
 using namespace nv;
 
@@ -21,10 +21,7 @@ NeuroVectorizer::NeuroVectorizer(const NeuroVectorizerConfig &Config)
   Embedder = std::make_unique<Code2Vec>(Config.Embedding, Rng);
   const int NumVF = static_cast<int>(Config.Target.vfActions().size());
   const int NumIF = static_cast<int>(Config.Target.ifActions().size());
-  const int InputDim =
-      Embedder->codeDim() +
-      (Config.LegalityFeatures ? NumLegalityFeatures : 0);
-  Pol = std::make_unique<Policy>(Config.ActionSpace, InputDim,
+  Pol = std::make_unique<Policy>(Config.ActionSpace, Embedder->codeDim(),
                                  Config.Hidden, NumVF, NumIF, Rng);
   Runner = std::make_unique<PPORunner>(*Env, *Embedder, *Pol, Config.PPO,
                                        Config.Seed ^ 0xABCDEF);
@@ -32,24 +29,9 @@ NeuroVectorizer::NeuroVectorizer(const NeuroVectorizerConfig &Config)
   // The full backend set of Fig 3's swappable agent block (§3.5). The
   // supervised backends start unfitted; fitSupervised() or a v3 load()
   // makes them ready.
-  Backends.set(PredictMethod::RL,
-               std::make_unique<PolicyBackend>(*Pol, Config.Target));
-  auto NNSOwned = std::make_unique<NNSBackend>(/*K=*/3);
-  NNS = NNSOwned.get();
-  Backends.set(PredictMethod::NNS, std::move(NNSOwned));
-  auto TreeOwned = std::make_unique<TreeBackend>(Config.Target);
-  Tree = TreeOwned.get();
-  Backends.set(PredictMethod::DecisionTree, std::move(TreeOwned));
-  Backends.set(PredictMethod::Baseline,
-               std::make_unique<BaselineBackend>(
-                   Config.Target, Config.Machine, Config.Embedding.Paths));
-  Backends.set(PredictMethod::Random,
-               std::make_unique<RandomBackend>(Config.Target, Config.Machine,
-                                               Config.Embedding.Paths,
-                                               Config.Seed ^ 0x5EED5EEDull));
-  Backends.set(PredictMethod::BruteForce,
-               std::make_unique<BruteForceBackend>(
-                   Config.Target, Config.Machine, Config.Embedding.Paths));
+  std::tie(NNS, Tree) =
+      registerBackends(Backends, *Pol, Config.Target, Config.Machine,
+                       Config.Embedding.Paths, Config.Seed);
 }
 
 bool NeuroVectorizer::addTrainingProgram(const std::string &Name,
@@ -76,7 +58,6 @@ RolloutModelSpec NeuroVectorizer::rolloutSpec() const {
   Spec.Hidden = Config.Hidden;
   Spec.NumVF = static_cast<int>(Config.Target.vfActions().size());
   Spec.NumIF = static_cast<int>(Config.Target.ifActions().size());
-  Spec.LegalityFeatures = Config.LegalityFeatures;
   return Spec;
 }
 
@@ -157,18 +138,15 @@ NeuroVectorizer::plansFor(const std::string &Source, PredictMethod Method) {
   clearAllPragmas(*Parsed);
   std::vector<LoopSite> Sites = extractLoops(*Parsed);
 
-  // Per-site legality: feature columns for a widened policy, and the
-  // clamp every embedding-kind prediction passes through (so the plans
-  // handed back are the plans the compiler would actually honor).
+  // Per-site legality: the clamp every embedding-kind prediction passes
+  // through (so the plans handed back are the plans the compiler would
+  // actually honor).
   std::vector<LoopSummary> Summaries =
       lowerAllLoops(*Parsed, Sites, Config.Target.MaxVF);
   std::vector<LegalitySummary> Legality;
-  std::vector<LegalityDigest> Digests;
   Legality.reserve(Summaries.size());
-  for (const LoopSummary &Summary : Summaries) {
+  for (const LoopSummary &Summary : Summaries)
     Legality.push_back(analyzeLegality(Summary, Config.Target));
-    Digests.push_back(Legality.back().digest());
-  }
 
   std::vector<std::vector<PathContext>> Contexts;
   Contexts.reserve(Sites.size());
@@ -182,11 +160,7 @@ NeuroVectorizer::plansFor(const std::string &Source, PredictMethod Method) {
     Contexts.push_back(extractPathContexts(ContextRoot, Config.Embedding.Paths));
   }
   const Matrix States = Embedder->encodeBatch(Contexts);
-  Matrix WideBuf;
-  std::vector<VectorPlan> Plans = P->plansForEmbeddings(
-      widenStates(States, P->wantsCols(), Digests.data(), Digests.size(),
-                  Config.Target, WideBuf),
-      nullptr);
+  std::vector<VectorPlan> Plans = P->plansForEmbeddings(States, nullptr);
   for (size_t S = 0; S < Plans.size() && S < Legality.size(); ++S)
     Plans[S] = Legality[S].clamp(Plans[S], Config.Target);
   return Plans;
@@ -246,7 +220,6 @@ SaveStatus NeuroVectorizer::trySave(const std::string &Path,
   // whatever supervised backends have been distilled from these weights.
   ModelMeta Meta;
   Meta.InnerContextOnly = Env->innerContextOnly();
-  Meta.LegalityFeatures = Config.LegalityFeatures;
   SupervisedBundle Bundle;
   Bundle.NNS = &NNS->index();
   Bundle.Tree = &Tree->tree();
@@ -281,7 +254,6 @@ AnnotationService &NeuroVectorizer::service(const ServeConfig &Serve) {
   // the service extracts contexts the way this instance's model does.
   ServeConfig Cfg = Serve;
   Cfg.InnerContextOnly = Env->innerContextOnly();
-  Cfg.LegalityFeatures = Config.LegalityFeatures;
   Service = std::make_unique<AnnotationService>(
       *Embedder, Backends, Config.Embedding.Paths, Config.Target, Cfg);
   return *Service;
@@ -301,7 +273,6 @@ ServingModelConfig NeuroVectorizer::servingModelConfig() const {
   Cfg.Target = Config.Target;
   Cfg.Machine = Config.Machine;
   Cfg.Seed = Config.Seed;
-  Cfg.LegalityFeatures = Config.LegalityFeatures;
   return Cfg;
 }
 

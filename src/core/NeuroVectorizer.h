@@ -49,12 +49,6 @@ struct NeuroVectorizerConfig {
   PPOConfig PPO;
   ActionSpaceKind ActionSpace = ActionSpaceKind::Discrete;
   std::vector<int> Hidden = {64, 64}; ///< FCNN trunk (paper default).
-  /// Append the legality-analysis feature block (access-class histogram,
-  /// normalized max-safe VF, reduction/predication bits — see
-  /// ir/Legality.h) to each loop's code embedding before the policy trunk.
-  /// Changes the policy architecture, so it is part of the persisted model
-  /// format (serve/ModelSerializer.h flag bit 2) and must match at load().
-  bool LegalityFeatures = false;
   uint64_t Seed = 1234;
 };
 

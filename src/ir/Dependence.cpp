@@ -17,72 +17,6 @@ int nv::floorPow2(long long X) {
   return P;
 }
 
-/// Returns the term list of \p Index without \p InnerVar, sorted by name.
-static std::vector<std::pair<std::string, long long>>
-outerTerms(const AffineIndex &Index, const std::string &InnerVar) {
-  std::vector<std::pair<std::string, long long>> Terms;
-  for (const auto &Term : Index.Terms)
-    if (Term.first != InnerVar)
-      Terms.push_back(Term);
-  std::sort(Terms.begin(), Terms.end());
-  return Terms;
-}
-
-DependenceResult nv::testDependence(const MemAccess &Store,
-                                    const MemAccess &Other,
-                                    const std::string &InnerVar) {
-  DependenceResult R;
-  if (Store.Array != Other.Array)
-    return R; // Distinct arrays never alias in LoopLang (no pointers).
-  if (!Store.IsAffine || !Other.IsAffine) {
-    R.Unknown = true;
-    return R;
-  }
-
-  const long long CoeffS = Store.Flat.coeffOf(InnerVar);
-  const long long CoeffO = Other.Flat.coeffOf(InnerVar);
-
-  // Outer-variable terms must match to compare constants; otherwise the
-  // addresses differ by an unknown loop-invariant amount and we give up
-  // (conservative, like LLVM's RuntimeChecks-off behaviour).
-  if (outerTerms(Store.Flat, InnerVar) != outerTerms(Other.Flat, InnerVar)) {
-    R.Unknown = true;
-    return R;
-  }
-  if (CoeffS != CoeffO) {
-    // Different inner strides over the same array (e.g. a[i] and a[2*i]):
-    // distances vary per iteration; treat as unknown.
-    R.Unknown = true;
-    return R;
-  }
-  const long long ConstS = Store.Flat.Const;
-  const long long ConstO = Other.Flat.Const;
-  if (CoeffS == 0) {
-    // Both invariant along the inner loop. Same address every iteration is
-    // a loop-carried serial dependence; different addresses never alias.
-    if (ConstS == ConstO) {
-      R.Unknown = true;
-      return R;
-    }
-    return R;
-  }
-  const long long Diff = ConstS - ConstO;
-  if (Diff % CoeffS != 0)
-    return R; // Addresses interleave without colliding.
-  const long long Distance = Diff / CoeffS;
-  if (Distance <= 0)
-    return R; // Same-iteration or anti-dependence: safe for any VF.
-  R.Exists = true;
-  R.Distance = Distance;
-  return R;
-}
-
-int nv::computeMaxSafeVF(const std::vector<MemAccess> &Accesses,
-                         const std::string &InnerVar, int HWMaxVF) {
-  return computeMaxSafeVF(Accesses, InnerVar, HWMaxVF, /*Lo=*/0, /*Step=*/1,
-                          /*Trip=*/-1);
-}
-
 int nv::computeMaxSafeVF(const std::vector<MemAccess> &Accesses,
                          const std::string &InnerVar, int HWMaxVF,
                          long long Lo, long long Step, long long Trip) {

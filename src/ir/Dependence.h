@@ -23,32 +23,15 @@
 
 namespace nv {
 
-/// Result of a pairwise dependence test.
-struct DependenceResult {
-  bool Unknown = false;   ///< Analysis failed; assume the worst.
-  bool Exists = false;    ///< A loop-carried dependence exists.
-  long long Distance = 0; ///< Positive iteration distance when Exists.
-};
-
-/// Tests the dependence from store \p Store to access \p Other along the
-/// innermost induction variable \p InnerVar.
-DependenceResult testDependence(const MemAccess &Store,
-                                const MemAccess &Other,
-                                const std::string &InnerVar);
-
 /// Returns the largest power-of-two VF (<= \p HWMaxVF) that is legal for a
 /// loop with memory accesses \p Accesses along \p InnerVar. Returns 1 when
 /// any store is non-affine or a dependence cannot be disproven. Only
 /// store<->access pairs are tested: reads can never hazard against other
-/// reads, so e.g. a read-only gather stays fully vectorizable.
-int computeMaxSafeVF(const std::vector<MemAccess> &Accesses,
-                     const std::string &InnerVar, int HWMaxVF);
-
-/// As above, with the loop's iteration domain: the induction variable
-/// takes the values \p Lo + k * \p Step for k in [0, \p Trip) (\p Trip ==
-/// -1 when unknown). Distances are computed in iteration space and
-/// weak-zero SIV conflicts outside the trip range are refuted, so this is
-/// at least as precise as the domain-free overload.
+/// reads, so e.g. a read-only gather stays fully vectorizable. The
+/// induction variable takes the values \p Lo + k * \p Step for k in
+/// [0, \p Trip) (\p Trip == -1 when unknown): distances are computed in
+/// iteration space, and weak-zero SIV conflicts outside the trip range are
+/// refuted.
 int computeMaxSafeVF(const std::vector<MemAccess> &Accesses,
                      const std::string &InnerVar, int HWMaxVF, long long Lo,
                      long long Step, long long Trip);

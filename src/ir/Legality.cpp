@@ -5,7 +5,6 @@
 #include "ir/Dependence.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <sstream>
@@ -34,18 +33,6 @@ const char *nv::depKindName(DepKind K) {
     return "anti";
   case DepKind::Output:
     return "output";
-  }
-  return "?";
-}
-
-const char *nv::depDirectionName(DepDirection D) {
-  switch (D) {
-  case DepDirection::Lt:
-    return "<";
-  case DepDirection::Eq:
-    return "=";
-  case DepDirection::Gt:
-    return ">";
   }
   return "?";
 }
@@ -331,8 +318,6 @@ LegalityDigest LegalitySummary::digest() const {
   D.MaxSafeVF = MaxSafeVF;
   for (AccessClass C : Classes)
     ++D.ClassCount[static_cast<int>(C)];
-  D.HasReduction = HasReduction ? 1 : 0;
-  D.IfConvertible = (HasPredicate && IfConvertible) ? 1 : 0;
   return D;
 }
 
@@ -377,17 +362,4 @@ LegalitySummary nv::analyzeLegality(const LoopSummary &Loop,
       L.Mask.set(static_cast<int>(V), static_cast<int>(I));
   }
   return L;
-}
-
-void nv::legalityFeatures(const LegalityDigest &Digest, const TargetInfo &TI,
-                          double *Out) {
-  double Total = 0.0;
-  for (int C = 0; C < NumAccessClasses; ++C)
-    Total += Digest.ClassCount[C];
-  for (int C = 0; C < NumAccessClasses; ++C)
-    Out[C] = Total > 0.0 ? Digest.ClassCount[C] / Total : 0.0;
-  const double Denom = TI.MaxVF > 1 ? std::log2(double(TI.MaxVF)) : 1.0;
-  Out[4] = std::log2(std::max(1.0, double(Digest.MaxSafeVF))) / Denom;
-  Out[5] = Digest.HasReduction ? 1.0 : 0.0;
-  Out[6] = Digest.IfConvertible ? 1.0 : 0.0;
 }

@@ -67,7 +67,6 @@ const char *depKindName(DepKind K);
 /// this single-loop model Lt is a loop-carried dependence, Eq is
 /// loop-independent, and Gt only appears on Anti edges.
 enum class DepDirection { Lt, Eq, Gt };
-const char *depDirectionName(DepDirection D);
 
 /// One dependence fact between two accesses of the same array.
 struct DependenceEdge {
@@ -133,14 +132,11 @@ struct PlanMask {
   bool empty() const { return NumVF == 0; }
 };
 
-/// Compact, POD legality payload carried by the serving plan cache (and
-/// enough to reconstruct the optional embedding features).
+/// Compact, POD legality payload carried by the serving plan cache.
 struct LegalityDigest {
   uint64_t MaskBits = 0;
   int32_t MaxSafeVF = 1;
   uint16_t ClassCount[NumAccessClasses] = {0, 0, 0, 0};
-  uint8_t HasReduction = 0;
-  uint8_t IfConvertible = 0;
 };
 
 /// Everything the consumers need to gate, mask, and explain plans for one
@@ -191,15 +187,6 @@ LegalitySummary analyzeLegality(const LoopSummary &Loop,
 /// \p MaxSafeVF.
 VectorPlan legalizePlan(int MaxSafeVF, VectorPlan Requested,
                         const TargetInfo &TI);
-
-/// Optional embedding features derived from legality (class histogram +
-/// normalized max-safe VF + reduction/if-conversion flags), appended to
-/// the code2vec state when enabled.
-constexpr int NumLegalityFeatures = 7;
-
-/// Writes NumLegalityFeatures values to \p Out.
-void legalityFeatures(const LegalityDigest &Digest, const TargetInfo &TI,
-                      double *Out);
 
 } // namespace nv
 

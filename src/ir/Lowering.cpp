@@ -66,54 +66,6 @@ private:
 
 } // namespace
 
-const char *nv::vrOpName(VROp Op) {
-  switch (Op) {
-  case VROp::Load:
-    return "load";
-  case VROp::Store:
-    return "store";
-  case VROp::Add:
-    return "add";
-  case VROp::Sub:
-    return "sub";
-  case VROp::Mul:
-    return "mul";
-  case VROp::Div:
-    return "div";
-  case VROp::Rem:
-    return "rem";
-  case VROp::Shl:
-    return "shl";
-  case VROp::Shr:
-    return "shr";
-  case VROp::And:
-    return "and";
-  case VROp::Or:
-    return "or";
-  case VROp::Xor:
-    return "xor";
-  case VROp::Neg:
-    return "neg";
-  case VROp::Not:
-    return "not";
-  case VROp::Cmp:
-    return "cmp";
-  case VROp::Select:
-    return "select";
-  case VROp::Cast:
-    return "cast";
-  case VROp::Min:
-    return "min";
-  case VROp::Max:
-    return "max";
-  case VROp::Abs:
-    return "abs";
-  case VROp::Sqrt:
-    return "sqrt";
-  }
-  return "?";
-}
-
 void LoweringContext::collectLocalTypes(const Stmt &S) {
   switch (S.kind()) {
   case StmtKind::Block:

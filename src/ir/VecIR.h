@@ -84,9 +84,6 @@ enum class VROp {
   Sqrt,
 };
 
-/// Returns a printable mnemonic.
-const char *vrOpName(VROp Op);
-
 /// One per-iteration instruction. Operands reference earlier instructions
 /// by index; -1 denotes a loop-invariant value or constant (free: lives in
 /// a register across the loop).

@@ -293,12 +293,6 @@ std::string nv::printStmt(const Stmt &S, int Indent) {
   return Printer.str();
 }
 
-std::string nv::printExpr(const Expr &E) {
-  PrinterImpl Printer;
-  Printer.printExprNode(E, 0);
-  return Printer.str();
-}
-
 std::string nv::printPragma(const VectorPragma &Pragma) {
   return "#pragma clang loop vectorize_width(" + std::to_string(Pragma.VF) +
          ") interleave_count(" + std::to_string(Pragma.IF) + ")";

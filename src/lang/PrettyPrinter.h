@@ -28,9 +28,6 @@ std::string printProgram(const Program &P);
 /// the embedding generator consumes the outermost loop's text, §3.3).
 std::string printStmt(const Stmt &S, int Indent = 0);
 
-/// Renders a single expression.
-std::string printExpr(const Expr &E);
-
 /// Renders the pragma line for \p Pragma (no trailing newline).
 std::string printPragma(const VectorPragma &Pragma);
 

@@ -7,20 +7,6 @@
 using namespace nv;
 using namespace nv::net;
 
-const char *net::verbName(Verb V) {
-  switch (V) {
-  case Verb::Ping:
-    return "ping";
-  case Verb::Annotate:
-    return "annotate";
-  case Verb::Statsz:
-    return "statsz";
-  case Verb::Reload:
-    return "reload";
-  }
-  return "?";
-}
-
 const char *net::statusName(WireStatus Status) {
   switch (Status) {
   case WireStatus::Ok:

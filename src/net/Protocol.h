@@ -88,8 +88,7 @@ enum class WireStatus : uint8_t {
   Error = 7,            ///< Internal failure.
 };
 
-/// Stable lowercase names ("ping", "overloaded", ...) for logs and JSON.
-const char *verbName(Verb V);
+/// Stable lowercase name ("ok", "overloaded", ...) for logs and JSON.
 const char *statusName(WireStatus Status);
 
 /// Parsed request/response headers.

@@ -32,18 +32,6 @@ void LinearLayer::backwardInto(const Matrix &dY, Matrix &dX,
   gemmTBInto(dX, dY, W.Value, Pool);
 }
 
-Matrix LinearLayer::forward(const Matrix &X) {
-  Matrix Y;
-  forwardInto(X, Y);
-  return Y;
-}
-
-Matrix LinearLayer::backward(const Matrix &dY) {
-  Matrix dX;
-  backwardInto(dY, dX);
-  return dX;
-}
-
 Matrix ActivationLayer::forward(const Matrix &X) {
   Matrix Y = X;
   applyActivation(Y, Kind);

@@ -67,12 +67,6 @@ public:
   /// writes dLoss/dX into \p dX (resized; must not alias dY).
   void backwardInto(const Matrix &dY, Matrix &dX, ThreadPool *Pool = nullptr);
 
-  /// \p X is (batch x In); returns (batch x Out) and caches X.
-  Matrix forward(const Matrix &X);
-  /// \p dY is (batch x Out); accumulates into W.Grad / B.Grad and returns
-  /// dX (batch x In).
-  Matrix backward(const Matrix &dY);
-
   std::vector<Param *> params() { return {&W, &B}; }
   int inputSize() const { return W.Value.rows(); }
   int outputSize() const { return W.Value.cols(); }

@@ -33,13 +33,6 @@ Matrix &Matrix::operator*=(double Scale) {
   return *this;
 }
 
-Matrix Matrix::row(int R) const {
-  Matrix Result(1, NumCols);
-  for (int C = 0; C < NumCols; ++C)
-    Result.at(0, C) = at(R, C);
-  return Result;
-}
-
 void Matrix::initXavier(RNG &Rng) {
   const double Scale =
       std::sqrt(6.0 / std::max(1, NumRows + NumCols));
@@ -109,15 +102,6 @@ Matrix nv::matmulTB(const Matrix &A, const Matrix &B) {
       CRow[J] = Sum;
     }
   }
-  return C;
-}
-
-Matrix nv::hadamard(const Matrix &A, const Matrix &B) {
-  assert(A.rows() == B.rows() && A.cols() == B.cols() &&
-         "hadamard shape mismatch");
-  Matrix C(A.rows(), A.cols());
-  for (size_t I = 0; I < A.size(); ++I)
-    C.raw()[I] = A.raw()[I] * B.raw()[I];
   return C;
 }
 

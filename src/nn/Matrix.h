@@ -96,9 +96,6 @@ public:
   Matrix &operator-=(const Matrix &Other);
   Matrix &operator*=(double Scale);
 
-  /// Returns one row as a 1 x Cols matrix.
-  Matrix row(int R) const;
-
   /// Fills with He/Xavier-style uniform random values in
   /// [-Scale, Scale] where Scale = sqrt(6 / (rows + cols)).
   void initXavier(RNG &Rng);
@@ -128,8 +125,6 @@ Matrix matmul(const Matrix &A, const Matrix &B);
 Matrix matmulTA(const Matrix &A, const Matrix &B);
 /// C = A * B^T.
 Matrix matmulTB(const Matrix &A, const Matrix &B);
-/// Element-wise product.
-Matrix hadamard(const Matrix &A, const Matrix &B);
 /// A + B broadcasting B over rows when B has one row.
 Matrix addRowBroadcast(const Matrix &A, const Matrix &B);
 /// Column-wise sum producing a 1 x Cols matrix.

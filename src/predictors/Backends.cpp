@@ -5,23 +5,15 @@
 #include "predictors/Search.h"
 #include "rl/Env.h"
 #include "rl/Policy.h"
-#include "rl/StateFeatures.h"
 #include "sim/Compiler.h"
 
 #include <cassert>
 
 using namespace nv;
 
-int PolicyBackend::wantsCols() const { return Pol.inputDim(); }
-
 std::vector<VectorPlan> PolicyBackend::plansForEmbeddings(const Matrix &States,
                                                           ThreadPool *Pool) {
-  // A feature-widened policy fed bare code embeddings gets zero-filled
-  // legality columns (callers that ran the analysis pre-widen instead,
-  // which passes through untouched).
-  const Matrix &In =
-      widenStates(States, Pol.inputDim(), nullptr, 0, TI, WideBuf);
-  Pol.forward(In, Pool, /*ForBackward=*/false);
+  Pol.forward(States, Pool, /*ForBackward=*/false);
   std::vector<VectorPlan> Plans(States.rows());
   for (int Row = 0; Row < States.rows(); ++Row)
     Plans[Row] = Pol.toPlan(Pol.greedyAction(Row), TI);
@@ -89,4 +81,24 @@ std::vector<VectorPlan>
 BruteForceBackend::plansForSource(const std::string &Source) {
   VectorizationEnv Env = scratchEnv(TI, Machine, Paths, Source);
   return bruteForceSearch(Env, 0, Passes).Plans;
+}
+
+std::pair<NNSBackend *, TreeBackend *>
+nv::registerBackends(PredictorSet &Set, Policy &Pol, const TargetInfo &TI,
+                     const MachineConfig &Machine,
+                     const PathContextConfig &Paths, uint64_t Seed) {
+  Set.set(PredictMethod::RL, std::make_unique<PolicyBackend>(Pol, TI));
+  auto NNS = std::make_unique<NNSBackend>(/*K=*/3);
+  auto Tree = std::make_unique<TreeBackend>(TI);
+  auto Supervised = std::make_pair(NNS.get(), Tree.get());
+  Set.set(PredictMethod::NNS, std::move(NNS));
+  Set.set(PredictMethod::DecisionTree, std::move(Tree));
+  Set.set(PredictMethod::Baseline,
+          std::make_unique<BaselineBackend>(TI, Machine, Paths));
+  Set.set(PredictMethod::Random,
+          std::make_unique<RandomBackend>(TI, Machine, Paths,
+                                          Seed ^ 0x5EED5EEDull));
+  Set.set(PredictMethod::BruteForce,
+          std::make_unique<BruteForceBackend>(TI, Machine, Paths));
+  return Supervised;
 }

@@ -30,6 +30,7 @@
 #include "support/RNG.h"
 
 #include <mutex>
+#include <utility>
 
 namespace nv {
 
@@ -44,14 +45,12 @@ public:
 
   Kind kind() const override { return Kind::Embedding; }
   std::string name() const override { return "rl"; }
-  int wantsCols() const override;
   std::vector<VectorPlan> plansForEmbeddings(const Matrix &States,
                                              ThreadPool *Pool) override;
 
 private:
   Policy &Pol;
   TargetInfo TI;
-  Matrix WideBuf; ///< Zero-feature widening for legality-feature policies.
 };
 
 /// k-NN over (embedding, oracle plan) pairs (§3.5, 2.65x in the paper).
@@ -154,6 +153,17 @@ public:
 private:
   int Passes;
 };
+
+/// Registers the full backend set of Fig 3's swappable agent block
+/// (§3.5) into \p Set: greedy inference over \p Pol, unfitted NNS and
+/// tree backends, and the baseline, random and brute-force searches over
+/// (\p TI, \p Machine, \p Paths); the random backend draws from a stream
+/// derived from \p Seed. Returns the NNS and tree backends (owned by
+/// \p Set), the slots distillation fits and ModelSerializer restores.
+std::pair<NNSBackend *, TreeBackend *>
+registerBackends(PredictorSet &Set, Policy &Pol, const TargetInfo &TI,
+                 const MachineConfig &Machine, const PathContextConfig &Paths,
+                 uint64_t Seed);
 
 } // namespace nv
 

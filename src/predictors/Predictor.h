@@ -98,13 +98,6 @@ public:
   /// for the serving layer to cache results (false for random search).
   virtual bool cacheable() const { return true; }
 
-  /// Embedding kind: the state width this backend wants per row, or 0 for
-  /// "whatever the encoder produces". Non-zero only for a policy built
-  /// with legality features (codeDim + NumLegalityFeatures); callers that
-  /// ran the loop analysis widen rows to this before calling
-  /// plansForEmbeddings (bare rows are tolerated — features read as 0).
-  virtual int wantsCols() const { return 0; }
-
   /// Embedding kind: one plan per row of \p States (B x CodeDim). \p Pool
   /// may parallelize the backend's own math; results must not depend on
   /// it. The base implementation asserts (wrong-kind call).

@@ -2,8 +2,6 @@
 
 #include "rl/PPO.h"
 
-#include "rl/StateFeatures.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -60,13 +58,7 @@ std::vector<Transition> PPORunner::collectBatch() {
     // never backprop (update() re-forwards per minibatch), so skip the
     // backward caches.
     Embedder.encodeBatchInto(Sample.Contexts, StatesBuf, MathPool);
-    DigestBuf.clear();
-    for (size_t S = 0; S < NumSites; ++S)
-      DigestBuf.push_back(Env.legality(SampleIdx, S).digest());
-    const Matrix &States =
-        widenStates(StatesBuf, Pol.inputDim(), DigestBuf.data(),
-                    DigestBuf.size(), TI, WideStatesBuf);
-    Pol.forward(States, MathPool, /*ForBackward=*/false);
+    Pol.forward(StatesBuf, MathPool, /*ForBackward=*/false);
 
     std::vector<VectorPlan> Plans(NumSites);
     std::vector<ActionRecord> Actions(NumSites);
@@ -127,21 +119,15 @@ double PPORunner::update(const std::vector<Transition> &Batch,
       for (Param *P : AllParams)
         P->zeroGrad();
 
-      // The minibatch's state contexts (and legality digests, for
-      // feature-widened policies), straight from the environment into
-      // reused buffers.
+      // The minibatch's state contexts, straight from the environment
+      // into reused buffers.
       MiniContexts.resize(M);
-      DigestBuf.clear();
       for (int I = 0; I < M; ++I) {
         const Transition &T = Batch[Order[Start + I]];
         MiniContexts[I] = Env.sample(T.SampleIdx).Contexts[T.SiteIdx];
-        DigestBuf.push_back(Env.legality(T.SampleIdx, T.SiteIdx).digest());
       }
       Embedder.encodeBatchInto(MiniContexts, StatesBuf, MathPool);
-      const Matrix &States = widenStates(
-          StatesBuf, Pol.inputDim(), DigestBuf.data(), DigestBuf.size(),
-          Env.compiler().target(), WideStatesBuf);
-      Pol.forward(States, MathPool);
+      Pol.forward(StatesBuf, MathPool);
 
       std::vector<ActionRecord> Actions(M);
       std::vector<PlanMask> Masks(M);
@@ -180,17 +166,7 @@ double PPORunner::update(const std::vector<Transition> &Batch,
 
       Matrix dStates = Pol.backward(Actions, dLogProb, dValue,
                                     EntropyCoef / M, &Masks, MathPool);
-      if (dStates.cols() > StatesBuf.cols()) {
-        // The legality-feature columns are analysis inputs, not learned
-        // state: drop their gradient and backprop the embedding block.
-        NarrowGradBuf.resize(dStates.rows(), StatesBuf.cols());
-        for (int R = 0; R < dStates.rows(); ++R)
-          std::copy(dStates.rowPtr(R), dStates.rowPtr(R) + StatesBuf.cols(),
-                    NarrowGradBuf.rowPtr(R));
-        Embedder.backward(NarrowGradBuf, MathPool);
-      } else {
-        Embedder.backward(dStates, MathPool);
-      }
+      Embedder.backward(dStates, MathPool);
       clipGradNorm(AllParams, Config.MaxGradNorm, MathPool);
       Optimizer.step(AllParams, MathPool);
     }
@@ -233,26 +209,10 @@ TrainStats PPORunner::train(long long TotalSteps) {
   return Stats;
 }
 
-VectorPlan PPORunner::predict(const std::vector<PathContext> &Contexts) {
-  Embedder.encodeBatchInto({Contexts}, StatesBuf, MathPool);
-  // Raw-bag inference has no loop analysis: feature columns are zeros.
-  const Matrix &States =
-      widenStates(StatesBuf, Pol.inputDim(), nullptr, 0,
-                  Env.compiler().target(), WideStatesBuf);
-  Pol.forward(States, MathPool, /*ForBackward=*/false);
-  return Pol.toPlan(Pol.greedyAction(0), Env.compiler().target());
-}
-
 std::vector<VectorPlan> PPORunner::predictSample(size_t Index) {
   const EnvSample &Sample = Env.sample(Index);
   Embedder.encodeBatchInto(Sample.Contexts, StatesBuf, MathPool);
-  DigestBuf.clear();
-  for (size_t S = 0; S < Sample.Sites.size(); ++S)
-    DigestBuf.push_back(Env.legality(Index, S).digest());
-  const Matrix &States =
-      widenStates(StatesBuf, Pol.inputDim(), DigestBuf.data(),
-                  DigestBuf.size(), Env.compiler().target(), WideStatesBuf);
-  Pol.forward(States, MathPool, /*ForBackward=*/false);
+  Pol.forward(StatesBuf, MathPool, /*ForBackward=*/false);
   std::vector<VectorPlan> Plans;
   Plans.reserve(Sample.Sites.size());
   for (size_t S = 0; S < Sample.Sites.size(); ++S) {

@@ -103,9 +103,6 @@ public:
   /// Default is serial (nullptr).
   void setMathPool(ThreadPool *Pool) { MathPool = Pool; }
 
-  /// Greedy factors for a raw context bag (inference path).
-  VectorPlan predict(const std::vector<PathContext> &Contexts);
-
   /// Greedy factors for every site of env sample \p Index.
   std::vector<VectorPlan> predictSample(size_t Index);
 
@@ -137,11 +134,6 @@ private:
   EMA RewardEMA{0.1};
   ThreadPool *MathPool = nullptr;
   Matrix StatesBuf; ///< Reused encode output (allocation-free forwards).
-  /// Reused widened-state buffer and digest scratch for policies built
-  /// with legality features (see rl/StateFeatures.h); untouched otherwise.
-  Matrix WideStatesBuf;
-  Matrix NarrowGradBuf; ///< dStates minus the feature columns.
-  std::vector<LegalityDigest> DigestBuf;
   /// update()'s minibatch context bags (copies reuse each bag's capacity).
   std::vector<std::vector<PathContext>> MiniContexts;
 };

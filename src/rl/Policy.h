@@ -54,8 +54,7 @@ public:
   ActionSpaceKind kind() const { return Kind; }
   int numVF() const { return NumVF; }
   int numIF() const { return NumIF; }
-  /// Width of the state rows forward() expects. Larger than the embedder's
-  /// codeDim() exactly when the model was built with legality features.
+  /// Width of the state rows forward() expects.
   int inputDim() const { return InputDim; }
 
   /// Runs the trunk + heads on a batch (B x InputDim); caches activations.

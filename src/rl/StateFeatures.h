@@ -1,16 +1,15 @@
-//===- rl/StateFeatures.h - Legality-feature state widening -----*- C++ -*-===//
+//===- rl/StateFeatures.h - Policy input pass-through -----------*- C++ -*-===//
 //
 // Part of the NeuroVectorizer reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one place encoded states grow their optional legality-feature
-/// columns. A policy built with LegalityFeatures expects rows of
-/// codeDim + NumLegalityFeatures; every forward site (PPO, rollout
-/// workers, evaluator, serving) funnels its encode output through
-/// widenStates() so the layout — code embedding first, then the
-/// legalityFeatures() block — is defined exactly once.
+/// The policy reads the code2vec embedding of a loop and nothing else
+/// (Fig 3), so encoded states go to Policy::forward as they are.
+/// widenStates() is a pass-through kept with its old signature only
+/// because nvbench/Replay.cpp calls it; it goes with the next benchmark
+/// change. Library code does not call it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,41 +20,19 @@
 #include "nn/Matrix.h"
 #include "target/TargetInfo.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace nv {
 
-/// Returns the matrix a policy expecting \p WantCols-wide rows should
-/// consume. When \p States is already wide enough it is returned as-is
-/// (the common, feature-free configuration — zero cost). Otherwise each
-/// row is copied into \p WideBuf and the trailing columns are filled from
-/// \p Digests (one per row; null fills zeros — the raw-context inference
-/// path, where no loop analysis exists).
+/// Returns \p States, which must already be \p WantCols wide. The
+/// digest, target and buffer arguments are ignored.
 inline const Matrix &widenStates(const Matrix &States, int WantCols,
-                                 const LegalityDigest *Digests,
-                                 size_t NumDigests, const TargetInfo &TI,
-                                 Matrix &WideBuf) {
-  if (WantCols <= States.cols())
-    return States;
-  assert(WantCols == States.cols() + NumLegalityFeatures &&
-         "policy input width must be codeDim or codeDim + legality block");
-  const int B = States.rows();
-  const int Narrow = States.cols();
-  WideBuf.resize(B, WantCols);
-  double Feats[NumLegalityFeatures];
-  for (int R = 0; R < B; ++R) {
-    const double *Src = States.rowPtr(R);
-    double *Dst = WideBuf.rowPtr(R);
-    std::copy(Src, Src + Narrow, Dst);
-    if (Digests && static_cast<size_t>(R) < NumDigests) {
-      legalityFeatures(Digests[R], TI, Feats);
-      std::copy(Feats, Feats + NumLegalityFeatures, Dst + Narrow);
-    } else {
-      std::fill(Dst + Narrow, Dst + WantCols, 0.0);
-    }
-  }
-  return WideBuf;
+                                 const LegalityDigest *, size_t,
+                                 const TargetInfo &, Matrix &) {
+  assert(WantCols == States.cols() &&
+         "the policy input is the code embedding alone");
+  (void)WantCols;
+  return States;
 }
 
 } // namespace nv

@@ -7,7 +7,6 @@
 #include "lang/LoopExtractor.h"
 #include "lang/Parser.h"
 #include "lang/PrettyPrinter.h"
-#include "rl/StateFeatures.h"
 #include "serve/ModelHost.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
@@ -524,9 +523,9 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
 
     // Legality analysis for every site the cache could not answer: lower
     // the program once, dependence-test each missed site, and keep the
-    // digest — phase 2 widens the policy input with it and clamps the
-    // prediction against its max-safe VF, and it rides into the cache
-    // with the plan so future hits skip all of this.
+    // digest — phase 2 clamps the prediction against its max-safe VF,
+    // and it rides into the cache with the plan so future hits skip all
+    // of this.
     bool AnyMiss = false;
     for (const uint8_t Done : Item.SiteDone)
       if (!Done) {
@@ -636,33 +635,21 @@ std::vector<AnnotationResult> AnnotationService::annotateBatch(
         MethodRows[static_cast<size_t>(RowMethods[Row])].push_back(Row);
 
       Matrix Sub;
-      Matrix WideBuf;
-      std::vector<LegalityDigest> SubDigests;
       // One guarded predict of \p Rows on \p P (the backend for \p M):
       // fault hooks and exceptions become a breaker failure instead of
       // tearing down the batch. True = RowPlans filled for those rows.
       auto predictRows = [&](Predictor *P, PredictMethod M,
                              const std::vector<size_t> &Rows) -> bool {
         const Matrix *States = &StatesBuf;
-        const LegalityDigest *Digests = RowDigests.data();
         if (Rows.size() != MissContexts.size()) {
           Sub.resize(static_cast<int>(Rows.size()), StatesBuf.cols());
-          SubDigests.clear();
-          SubDigests.reserve(Rows.size());
-          for (size_t R = 0; R < Rows.size(); ++R) {
+          for (size_t R = 0; R < Rows.size(); ++R)
             std::copy(StatesBuf.rowPtr(static_cast<int>(Rows[R])),
                       StatesBuf.rowPtr(static_cast<int>(Rows[R])) +
                           StatesBuf.cols(),
                       Sub.rowPtr(static_cast<int>(R)));
-            SubDigests.push_back(RowDigests[Rows[R]]);
-          }
           States = &Sub;
-          Digests = SubDigests.data();
         }
-        // A legality-feature policy consumes widened rows; feature-free
-        // backends (wantsCols() <= codeDim) pass through untouched.
-        States = &widenStates(*States, P->wantsCols(), Digests, Rows.size(),
-                              TI, WideBuf);
         const uint64_t PredictStart = nowMicros();
         bool Failed = fault::fired(*PredictFault[static_cast<size_t>(M)]);
         std::vector<VectorPlan> Plans;

@@ -109,11 +109,6 @@ struct ServeConfig {
   bool InnerContextOnly = false;
   /// Backend answering requests that carry no per-request override.
   PredictMethod DefaultMethod = PredictMethod::RL;
-  /// Borrowed-model mode: the policy consumes legality-feature-widened
-  /// states, so phase 2 appends each miss row's analysis digest before
-  /// the forward. NeuroVectorizer::service() fills it in; hosted mode
-  /// ignores it (the flag rides with each generation's metadata).
-  bool LegalityFeatures = false;
   /// Record per-phase latency histograms (serve.*_us), pool queue
   /// metrics, and — when the trace sampling knob is on — phase spans
   /// into the process-wide telemetry (support/Telemetry.h). Histogram

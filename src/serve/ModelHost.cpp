@@ -5,38 +5,21 @@
 #include "predictors/Backends.h"
 #include "support/FaultInjection.h"
 
+#include <tuple>
+
 using namespace nv;
 
 ServingModel::ServingModel(const ServingModelConfig &Config)
     : Rng(Config.Seed), Embedder(Config.Embedding, Rng),
-      Pol(Config.ActionSpace,
-          Embedder.codeDim() +
-              (Config.LegalityFeatures ? NumLegalityFeatures : 0),
-          Config.Hidden,
+      Pol(Config.ActionSpace, Embedder.codeDim(), Config.Hidden,
           static_cast<int>(Config.Target.vfActions().size()),
           static_cast<int>(Config.Target.ifActions().size()), Rng) {
-  Meta.LegalityFeatures = Config.LegalityFeatures;
   // The same registry NeuroVectorizer wires up: every PredictMethod is
   // servable from a hosted model, and the supervised slots are the
   // destinations tryLoad restores v3 sections into.
-  Backends.set(PredictMethod::RL,
-               std::make_unique<PolicyBackend>(Pol, Config.Target));
-  auto NNSOwned = std::make_unique<NNSBackend>(/*K=*/3);
-  NNS = NNSOwned.get();
-  Backends.set(PredictMethod::NNS, std::move(NNSOwned));
-  auto TreeOwned = std::make_unique<TreeBackend>(Config.Target);
-  Tree = TreeOwned.get();
-  Backends.set(PredictMethod::DecisionTree, std::move(TreeOwned));
-  Backends.set(PredictMethod::Baseline,
-               std::make_unique<BaselineBackend>(
-                   Config.Target, Config.Machine, Config.Embedding.Paths));
-  Backends.set(PredictMethod::Random,
-               std::make_unique<RandomBackend>(Config.Target, Config.Machine,
-                                               Config.Embedding.Paths,
-                                               Config.Seed ^ 0x5EED5EEDull));
-  Backends.set(PredictMethod::BruteForce,
-               std::make_unique<BruteForceBackend>(
-                   Config.Target, Config.Machine, Config.Embedding.Paths));
+  std::tie(NNS, Tree) =
+      registerBackends(Backends, Pol, Config.Target, Config.Machine,
+                       Config.Embedding.Paths, Config.Seed);
 }
 
 ModelHost::ModelHost(const ServingModelConfig &Config) : Config(Config) {

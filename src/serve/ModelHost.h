@@ -58,9 +58,6 @@ struct ServingModelConfig {
   TargetInfo Target;
   MachineConfig Machine;
   uint64_t Seed = 1234;
-  /// Build the policy over legality-feature-widened states (must match
-  /// the flag the hosted model files were saved with — tryLoad validates).
-  bool LegalityFeatures = false;
 };
 
 /// One immutable generation of the serving model: the embedder, the

@@ -54,9 +54,6 @@ SaveStatus ModelSerializer::trySave(const std::string &Path, Code2Vec &Embedder,
   // extractor no longer reproduces — loading one would silently read
   // rows trained for unrelated tokens, so the loader rejects them.
   Flags |= 2u;
-  // Bit 2: the policy was built over legality-feature-widened states.
-  if (Meta.LegalityFeatures)
-    Flags |= 4u;
 
   std::vector<char> Buffer;
   wire::appendValue(Buffer, Magic);
@@ -196,23 +193,15 @@ LoadStatus ModelSerializer::tryLoad(const std::string &Path,
                "retrain and re-save with this build");
       return LoadStatus::LegacyHashing;
     }
+    // Bit 2: the policy was trained on the code embedding plus a
+    // legality-feature block, an input this build no longer produces.
+    // The shape checks below would reject it too; this names the cause.
+    if ((Flags & 4u) != 0) {
+      setError(Error, "model was trained with legality features; retrain");
+      return LoadStatus::ArchMismatch;
+    }
   }
   wire::readValue(Buffer, Offset, Count);
-
-  // The legality-feature flag must agree with the destination policy's
-  // input width. The per-parameter shape checks below would catch the
-  // mismatch anyway (the trunk's first weight matrix differs), but this
-  // names the actual problem instead of "parameter 12 is 71x64".
-  const bool FileWidened = Version >= 2 && (Flags & 4u) != 0;
-  const bool DestWidened = Pol.inputDim() > Embedder.codeDim();
-  if (FileWidened != DestWidened) {
-    setError(Error, FileWidened
-                        ? "model was trained with legality features; the "
-                          "destination policy was built without them"
-                        : "destination policy expects legality features; "
-                          "the model was trained without them");
-    return LoadStatus::ArchMismatch;
-  }
 
   std::vector<Param *> Params = allParams(Embedder, Pol);
   if (Count != Params.size()) {
@@ -318,10 +307,8 @@ LoadStatus ModelSerializer::tryLoad(const std::string &Path,
     std::memcpy(Dest.data(), Buffer.data() + Offsets[I],
                 Dest.size() * sizeof(double));
   }
-  if (Meta) {
+  if (Meta)
     Meta->InnerContextOnly = (Flags & 1u) != 0;
-    Meta->LegalityFeatures = FileWidened;
-  }
   if (Supervised) {
     // A file without sections clears the destinations: the weights just
     // changed, so any previously fitted index is stale either way.

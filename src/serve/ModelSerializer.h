@@ -23,9 +23,9 @@
 ///                       so files trained under the legacy
 ///                       `fnv1a % vocab` bucketing fail loudly instead
 ///                       of silently reading re-bucketed embedding rows;
-///                       bit 2: the policy trunk consumes legality-
-///                       feature-widened states — must match the
-///                       destination policy's input width on load)
+///                       bit 2: the policy trunk read a legality-feature
+///                       block after the code embedding — no longer
+///                       written, and rejected on load)
 ///   u32 paramCount
 ///   per param:  u32 rows, u32 cols, rows*cols f64 values
 ///   u32 sectionCount                                        (v3+)
@@ -70,11 +70,6 @@ struct ModelMeta {
   /// The context-extraction selection the model was trained with
   /// (VectorizationEnv::innerContextOnly).
   bool InnerContextOnly = false;
-  /// The policy consumes legality-feature-widened states (codeDim +
-  /// NumLegalityFeatures; flag bit 2). The serving side must run the
-  /// loop legality analysis and append the feature block before every
-  /// forward — feeding a widened policy bare embeddings is silent skew.
-  bool LegalityFeatures = false;
 };
 
 /// The distilled supervised predictors riding along with the weights.

@@ -98,8 +98,6 @@ std::size_t RNG::sampleWeighted(const std::vector<double> &Weights) {
   return Weights.size() - 1;
 }
 
-RNG RNG::split() { return RNG(next() ^ 0xD1B54A32D192ED03ull); }
-
 RNG RNG::split(uint64_t StreamId) const {
   // Fold the stream id and all four state words through SplitMix64. Each
   // fold rekeys the chain, so nearby ids (0, 1, 2, ...) land in unrelated

@@ -72,10 +72,6 @@ public:
       std::swap(Items[I], Items[nextBounded(I + 1)]);
   }
 
-  /// Splits off an independent child generator (for parallel components).
-  /// Advances this generator's state.
-  RNG split();
-
   /// Derives the independent stream \p StreamId from the *current* state
   /// without advancing it: the same (state, StreamId) pair always yields
   /// the same stream, and distinct ids yield decorrelated streams. This is

@@ -19,10 +19,6 @@ std::vector<std::string> nv::split(const std::string &Text, char Sep) {
   return Parts;
 }
 
-std::vector<std::string> nv::splitLines(const std::string &Text) {
-  return split(Text, '\n');
-}
-
 std::string nv::join(const std::vector<std::string> &Parts,
                      const std::string &Sep) {
   std::string Result;

@@ -23,9 +23,6 @@ namespace nv {
 /// Splits \p Text on \p Sep, keeping empty fields.
 std::vector<std::string> split(const std::string &Text, char Sep);
 
-/// Splits \p Text into lines (splitting on '\n').
-std::vector<std::string> splitLines(const std::string &Text);
-
 /// Joins \p Parts with \p Sep.
 std::string join(const std::vector<std::string> &Parts,
                  const std::string &Sep);

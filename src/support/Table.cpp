@@ -65,13 +65,3 @@ void Series::print(std::ostream &OS, size_t MaxPoints) const {
        << Table::fmt(Points[N - 1].Value, 4) << '\n';
 }
 
-void nv::printBar(std::ostream &OS, const std::string &Label, double Value,
-                  double MaxValue, int Width) {
-  OS << std::left << std::setw(24) << Label << " |";
-  int Fill = 0;
-  if (MaxValue > 0)
-    Fill = static_cast<int>(Value / MaxValue * Width + 0.5);
-  Fill = std::min(std::max(Fill, 0), Width);
-  OS << std::string(Fill, '#') << std::string(Width - Fill, ' ') << "| "
-     << Table::fmt(Value) << "x\n";
-}

@@ -71,10 +71,6 @@ private:
   std::vector<Point> Points;
 };
 
-/// Prints a horizontal bar chart line, e.g. "name  |#####     | 2.31x".
-void printBar(std::ostream &OS, const std::string &Label, double Value,
-              double MaxValue, int Width = 40);
-
 } // namespace nv
 
 #endif // NV_SUPPORT_TABLE_H

@@ -3,7 +3,6 @@
 #include "train/Evaluator.h"
 
 #include "lang/PrettyPrinter.h"
-#include "rl/StateFeatures.h"
 #include "support/Stats.h"
 
 #include <algorithm>
@@ -70,6 +69,7 @@ size_t Evaluator::addSuite(const std::string &Name,
 EvalReport Evaluator::evaluate(Code2Vec &Embedder, Policy &Pol) const {
   EvalReport Report;
   double RewardTotal = 0.0;
+  Matrix States; // Encode output, reused across samples.
 
   for (const auto &Suite : Suites) {
     EvalSuite Out;
@@ -78,16 +78,8 @@ EvalReport Evaluator::evaluate(Code2Vec &Embedder, Policy &Pol) const {
 
     for (size_t I = 0; I < Suite->Env.size(); ++I) {
       const EnvSample &Sample = Suite->Env.sample(I);
-      Matrix States = Embedder.encodeBatch(Sample.Contexts);
-      std::vector<LegalityDigest> Digests;
-      for (size_t S = 0; S < Sample.Sites.size(); ++S)
-        Digests.push_back(Suite->Env.legality(I, S).digest());
-      Matrix WideBuf;
-      const Matrix &In =
-          widenStates(States, Pol.inputDim(), Digests.data(),
-                      Digests.size(), Suite->Env.compiler().target(),
-                      WideBuf);
-      Pol.forward(In, nullptr, /*ForBackward=*/false);
+      Embedder.encodeBatchInto(Sample.Contexts, States);
+      Pol.forward(States, nullptr, /*ForBackward=*/false);
       std::vector<VectorPlan> Plans;
       Plans.reserve(Sample.Sites.size());
       for (size_t S = 0; S < Sample.Sites.size(); ++S)
@@ -135,6 +127,7 @@ MethodReport Evaluator::evaluateMethods(
   Report.Methods = Methods;
   // Per-method speedups across every program (for the overall geomean).
   std::vector<std::vector<double>> AllSpeedups(Methods.size());
+  Matrix States; // Encode output, reused across samples.
 
   for (const auto &Suite : Suites) {
     MethodReport::SuiteRow Row;
@@ -148,7 +141,7 @@ MethodReport Evaluator::evaluateMethods(
       // The embedding is method-independent: encode once per sample (and
       // only when some embedding-kind method actually runs), not once per
       // method.
-      Matrix States;
+      bool Encoded = false;
 
       for (size_t M = 0; M < Methods.size(); ++M) {
         Predictor *P = Backends.get(Methods[M]);
@@ -156,23 +149,11 @@ MethodReport Evaluator::evaluateMethods(
           continue;
         std::vector<VectorPlan> Plans;
         if (P->kind() == Predictor::Kind::Embedding) {
-          if (States.empty())
-            States = Embedder.encodeBatch(Sample.Contexts);
-          if (P->wantsCols() > States.cols()) {
-            // A feature-widened policy gets the real analysis digests here
-            // (the supervised backends stay on the bare code embedding).
-            std::vector<LegalityDigest> Digests;
-            for (size_t S = 0; S < Sample.Sites.size(); ++S)
-              Digests.push_back(Suite->Env.legality(I, S).digest());
-            Matrix WideBuf;
-            Plans = P->plansForEmbeddings(
-                widenStates(States, P->wantsCols(), Digests.data(),
-                            Digests.size(),
-                            Suite->Env.compiler().target(), WideBuf),
-                nullptr);
-          } else {
-            Plans = P->plansForEmbeddings(States, nullptr);
+          if (!Encoded) {
+            Embedder.encodeBatchInto(Sample.Contexts, States);
+            Encoded = true;
           }
+          Plans = P->plansForEmbeddings(States, nullptr);
         } else {
           // Source-kind backends re-analyze the program themselves; the
           // sample's AST prints back to an equivalent source.

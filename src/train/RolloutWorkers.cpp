@@ -2,8 +2,6 @@
 
 #include "train/RolloutWorkers.h"
 
-#include "rl/StateFeatures.h"
-
 #include <atomic>
 #include <cassert>
 
@@ -49,13 +47,7 @@ void RolloutWorkers::runEpisode(Replica &R, RNG Rng, size_t ActiveSamples,
   // kernels themselves run serial — no nested pool). Replicas never
   // backprop, so the backward caches are skipped too.
   R.Embedder.encodeBatchInto(Sample.Contexts, R.StatesBuf);
-  R.DigestBuf.clear();
-  for (size_t S = 0; S < NumSites; ++S)
-    R.DigestBuf.push_back(Env.legality(SampleIdx, S).digest());
-  const Matrix &States =
-      widenStates(R.StatesBuf, R.Pol.inputDim(), R.DigestBuf.data(),
-                  R.DigestBuf.size(), TI, R.WideStatesBuf);
-  R.Pol.forward(States, nullptr, /*ForBackward=*/false);
+  R.Pol.forward(R.StatesBuf, nullptr, /*ForBackward=*/false);
 
   std::vector<VectorPlan> Plans(NumSites);
   std::vector<ActionRecord> Actions(NumSites);

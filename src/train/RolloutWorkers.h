@@ -50,9 +50,6 @@ struct RolloutModelSpec {
   std::vector<int> Hidden = {64, 64};
   int NumVF = 0;
   int NumIF = 0;
-  /// Replica policies take codeDim + NumLegalityFeatures wide states
-  /// (must match the master policy's inputDim()).
-  bool LegalityFeatures = false;
 };
 
 /// Fixed pool of rollout workers over a shared (read-only) environment.
@@ -84,15 +81,11 @@ private:
     Code2Vec Embedder;
     Policy Pol;
     Matrix StatesBuf; ///< Reused encode output: episodes allocate nothing.
-    Matrix WideStatesBuf; ///< Feature-widened states (legality features).
-    std::vector<LegalityDigest> DigestBuf;
 
     explicit Replica(const RolloutModelSpec &Spec)
         : InitRng(1), Embedder(Spec.Embedding, InitRng),
-          Pol(Spec.ActionSpace,
-              Embedder.codeDim() +
-                  (Spec.LegalityFeatures ? NumLegalityFeatures : 0),
-              Spec.Hidden, Spec.NumVF, Spec.NumIF, InitRng) {}
+          Pol(Spec.ActionSpace, Embedder.codeDim(), Spec.Hidden, Spec.NumVF,
+              Spec.NumIF, InitRng) {}
   };
 
   /// Rolls out one episode: first draw picks the program, then one action

@@ -4,8 +4,8 @@
 // dependence-distance matrix checked against a brute-force iteration-space
 // oracle across every LoopGenerator template, mask <-> clamp <-> simulator
 // agreement over the whole action grid, masked policy sampling, legality
-// of every planner's output over >= 1k generated loops, the analysis JSON
-// emitter, and the model-format legality-feature flag round trip.
+// of every planner's output over >= 1k generated loops, and the analysis
+// JSON emitter.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +17,6 @@
 #include "lang/Parser.h"
 #include "predictors/Search.h"
 #include "rl/Policy.h"
-#include "serve/ModelSerializer.h"
 #include "sim/Compiler.h"
 
 #include <gtest/gtest.h>
@@ -609,70 +608,6 @@ TEST(Report, JsonIsStrictAndTextRenders) {
       analyzeProgram("flat", "int x; void f() { x = 1; }", TI);
   EXPECT_FALSE(NoLoops.Ok);
   EXPECT_TRUE(minijson::valid(analysisJson(NoLoops, TI)));
-}
-
-// --- Model-format legality-feature flag --------------------------------------
-
-TEST(ModelFormat, LegalityFeatureFlagRoundTripsAndGuards) {
-  const std::string Path =
-      ::testing::TempDir() + "nv_legality_flag_model.bin";
-  Code2VecConfig CC;
-  CC.CodeDim = 12;
-  RNG R(5);
-  Code2Vec Wide(CC, R);
-  Policy WidePol(ActionSpaceKind::Discrete,
-                 CC.CodeDim + NumLegalityFeatures, {8}, 7, 5, R);
-  ModelMeta Meta;
-  Meta.LegalityFeatures = true;
-  std::string Error;
-  ASSERT_TRUE(ModelSerializer::save(Path, Wide, WidePol, Meta, &Error))
-      << Error;
-
-  // Round trip into a matching wide destination.
-  Code2Vec DstE(CC, R);
-  Policy DstWide(ActionSpaceKind::Discrete,
-                 CC.CodeDim + NumLegalityFeatures, {8}, 7, 5, R);
-  ModelMeta Loaded;
-  EXPECT_EQ(ModelSerializer::tryLoad(Path, DstE, DstWide, &Loaded, nullptr,
-                                     &Error),
-            LoadStatus::Ok)
-      << Error;
-  EXPECT_TRUE(Loaded.LegalityFeatures);
-
-  // A widened file must not load into a bare-embedding policy.
-  Policy DstNarrow(ActionSpaceKind::Discrete, CC.CodeDim, {8}, 7, 5, R);
-  EXPECT_EQ(ModelSerializer::tryLoad(Path, DstE, DstNarrow, nullptr,
-                                     nullptr, &Error),
-            LoadStatus::ArchMismatch);
-
-  // And a bare file must not load into a widened policy.
-  Policy NarrowPol(ActionSpaceKind::Discrete, CC.CodeDim, {8}, 7, 5, R);
-  ASSERT_TRUE(ModelSerializer::save(Path, Wide, NarrowPol, ModelMeta(),
-                                    &Error))
-      << Error;
-  EXPECT_EQ(ModelSerializer::tryLoad(Path, DstE, DstWide, nullptr, nullptr,
-                                     &Error),
-            LoadStatus::ArchMismatch);
-}
-
-// --- Legality feature vector -------------------------------------------------
-
-TEST(Features, LayoutAndNormalization) {
-  const TargetInfo TI; // MaxVF 64 -> log2 denom 6.
-  LegalityDigest D;
-  D.MaxSafeVF = 8;
-  D.ClassCount[static_cast<int>(AccessClass::Consecutive)] = 3;
-  D.ClassCount[static_cast<int>(AccessClass::Gather)] = 1;
-  D.HasReduction = 1;
-  D.IfConvertible = 0;
-  double F[NumLegalityFeatures];
-  legalityFeatures(D, TI, F);
-  EXPECT_DOUBLE_EQ(F[static_cast<int>(AccessClass::Uniform)], 0.0);
-  EXPECT_DOUBLE_EQ(F[static_cast<int>(AccessClass::Consecutive)], 0.75);
-  EXPECT_DOUBLE_EQ(F[static_cast<int>(AccessClass::Gather)], 0.25);
-  EXPECT_DOUBLE_EQ(F[4], 3.0 / 6.0); // log2(8) / log2(64).
-  EXPECT_DOUBLE_EQ(F[5], 1.0);
-  EXPECT_DOUBLE_EQ(F[6], 0.0);
 }
 
 } // namespace

@@ -317,6 +317,19 @@ TEST(TryLoad, StatusCodesAndUntouchedDestination) {
   Rewrite(Restamp(Legacy));
   EXPECT_EQ(StatusOf(File.Path), LoadStatus::LegacyHashing);
 
+  // Flag bit 2 marks a policy trained on legality features, an input
+  // this build no longer produces: rejected, with the cause named.
+  std::string Featured = Bytes;
+  Featured[8] |= 4;
+  Rewrite(Restamp(Featured));
+  EXPECT_EQ(StatusOf(File.Path), LoadStatus::ArchMismatch);
+  {
+    std::string Error;
+    ModelSerializer::tryLoad(File.Path, Dest.embedder(), Dest.policy(),
+                             nullptr, nullptr, &Error);
+    EXPECT_NE(Error.find("legality features"), std::string::npos) << Error;
+  }
+
   // Architecture mismatch: a destination with different shapes.
   Rewrite(Bytes);
   NeuroVectorizerConfig Wide = testConfig(/*Seed=*/7);
